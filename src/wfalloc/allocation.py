@@ -27,9 +27,12 @@ __all__ = [
     "online_greedy",
     "max_weight",
     "system_utility",
+    "check_bruteforce_size",
     "offline_bruteforce",
     "offline_upper_bound",
     "run_strategy",
+    "ratio_value",
+    "reference_value",
     "competitive_ratio",
 ]
 
@@ -145,7 +148,7 @@ def online_greedy(arrivals, m, mode="marginal_gain"):
         parts[best_j].append(user)
         snrs[best_j].append(float(row[best_j]))
         utils[best_j] = best_value
-    return Allocation(tuple(frozenset(p) for p in parts))
+    return Allocation(tuple(parts))
 
 
 def max_weight(W):
@@ -153,7 +156,7 @@ def max_weight(W):
     parts = [[] for _ in range(W.m)]
     for u in range(W.n):
         parts[int(np.argmax(W.weights[u]))].append(u)
-    return Allocation(tuple(frozenset(p) for p in parts))
+    return Allocation(tuple(parts))
 
 
 def system_utility(alloc, W):
@@ -163,8 +166,7 @@ def system_utility(alloc, W):
     """
     if alloc.m != W.m:
         raise ValueError(f"allocation has {alloc.m} parts but the matrix has {W.m} basestations")
-    union = alloc.user_ids
-    if sum(len(p) for p in alloc.parts) != len(union) or union != frozenset(range(W.n)):
+    if alloc.user_ids != frozenset(range(W.n)):
         raise ValueError("allocation does not partition the arrived users")
     return sum(
         log_utility([W.weights[u, j] for u in sorted(part)])
@@ -181,6 +183,14 @@ def _iter_bits(mask):
         u += 1
 
 
+def check_bruteforce_size(n, m):
+    """Raise InstanceTooLargeError when m^n assignments exceed the cap."""
+    if m ** n > BRUTE_FORCE_CAP:
+        raise InstanceTooLargeError(
+            f"instance too large for brute force: {m}^{n} assignments exceed {BRUTE_FORCE_CAP}"
+        )
+
+
 def offline_bruteforce(W):
     """Exact offline optimum by enumerating all m^n assignments.
 
@@ -190,10 +200,7 @@ def offline_bruteforce(W):
     recomputed through system_utility for consistency with other callers.
     """
     n, m = W.n, W.m
-    if m ** n > BRUTE_FORCE_CAP:
-        raise InstanceTooLargeError(
-            f"instance too large for brute force: {m}^{n} assignments exceed {BRUTE_FORCE_CAP}"
-        )
+    check_bruteforce_size(n, m)
     weights = W.weights
     part_cache = {}
 
@@ -228,6 +235,7 @@ def offline_bruteforce(W):
             utils[j] = old_util
 
     descend(0, 0.0)
+    del descend  # it refers to itself; unbinding it frees the part cache now, not at a later GC
     alloc = Allocation(tuple(frozenset(_iter_bits(mask)) for mask in best_masks))
     return alloc, system_utility(alloc, W)
 
@@ -261,8 +269,8 @@ def run_strategy(strategy, W):
     raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
 
-def _ratio_value(reference, utility):
-    # Degenerate conventions: 0/0 counts as 1, positive/0 as +inf.
+def ratio_value(reference, utility):
+    """Offline reference over online utility; 0/0 counts as 1, positive/0 as +inf."""
     if utility > 0.0:
         return reference / utility
     if reference > 0.0:
@@ -270,7 +278,8 @@ def _ratio_value(reference, utility):
     return 1.0
 
 
-def _reference_value(W, reference_kind):
+def reference_value(W, reference_kind):
+    """The offline reference of the named kind for ``W``."""
     if reference_kind == "brute_force_optimum":
         return offline_bruteforce(W)[1]
     if reference_kind == "analytic_upper_bound":
@@ -282,10 +291,10 @@ def competitive_ratio(W, strategy, reference_kind="brute_force_optimum"):
     """Offline reference divided by the strategy's online utility."""
     alloc = run_strategy(strategy, W)
     utility = system_utility(alloc, W)
-    reference = _reference_value(W, reference_kind)
+    reference = reference_value(W, reference_kind)
     return RatioReport(
         online_utility=utility,
         offline_reference=reference,
         reference_kind=reference_kind,
-        ratio=_ratio_value(reference, utility),
+        ratio=ratio_value(reference, utility),
     )

@@ -6,13 +6,16 @@ exhaustive computation, 4 I/O error.
 """
 
 import argparse
+import math
 import sys
 
-from .allocation import InstanceTooLargeError, run_strategy, system_utility, _ratio_value, _reference_value
-from .experiments import evaluate_strategies, format_records_csv, run_experiment, summarize
+from .allocation import (STRATEGIES, InstanceTooLargeError, ratio_value, reference_value,
+                         run_strategy, system_utility)
+from .experiments import evaluate_strategies, run_experiment, summarize, write_records_csv
 from .lemmas import rate_oracle
 from .profiles import PRNG_ALGORITHM, PROFILE_KINDS, ProfileSpec, generate, replay_from_csv
 from .submodular import (
+    MONOTONE_SETPAIR_CAP,
     GroundSetTooLargeError,
     SetFunctionOracle,
     check_monotone,
@@ -28,7 +31,6 @@ EXIT_TOO_LARGE = 3
 EXIT_IO = 4
 
 _PROFILE_CHOICES = [k.replace("_", "-") for k in PROFILE_KINDS]
-_STRATEGY_CHOICES = ["greedy", "greedy-absolute", "max-weight"]
 _REFERENCE_BY_FLAG = {
     "brute-force": "brute_force_optimum",
     "analytic-upper": "analytic_upper_bound",
@@ -52,6 +54,8 @@ def _parse_reals(text, flag):
 def _snrs_to_profile(snrs, budget):
     """Channels for the positive SNRs, keyed by their original index."""
     for w in snrs:
+        if not math.isfinite(w):
+            raise ValueError(f"SNRs must be finite, got {w}")
         if w < 0.0:
             raise ValueError(f"SNRs must be nonnegative, got {w}")
     ids = [u for u, w in enumerate(snrs) if w > 0.0]
@@ -68,12 +72,8 @@ def _input_column(args):
 
 
 def _cmd_waterfill(args):
-    if args.input is not None:
-        snrs = _input_column(args)
-        profile = _snrs_to_profile(snrs, args.power)
-        total = len(snrs)
-    elif args.snrs is not None:
-        snrs = _parse_reals(args.snrs, "--snrs")
+    if args.input is not None or args.snrs is not None:
+        snrs = _input_column(args) if args.input is not None else _parse_reals(args.snrs, "--snrs")
         profile = _snrs_to_profile(snrs, args.power)
         total = len(snrs)
     elif args.noises is not None:
@@ -111,39 +111,42 @@ def _cmd_check_submodular(args):
     if args.output is not None:
         violations_to_csv(pairwise, args.output)
         print(f"pairwise violations written to {args.output}")
-    if u <= 8:
+    if u <= MONOTONE_SETPAIR_CAP:
         monotone = check_monotone(oracle, tolerance=args.tolerance)
         print(f"monotone: {len(monotone)} violations")
         setpair = check_setpair_submodular(oracle, tolerance=args.tolerance)
         print(f"setpair: {len(setpair)} violations")
     else:
-        print("monotone: skipped (ground set above cap 8)")
-        print("setpair: skipped (ground set above cap 8)")
+        print(f"monotone: skipped (ground set above cap {MONOTONE_SETPAIR_CAP})")
+        print(f"setpair: skipped (ground set above cap {MONOTONE_SETPAIR_CAP})")
     return EXIT_OK
 
 
-def _matrix_from_args(args):
+def _replaying(args):
+    """Whether the instance comes from --input rather than from --profile."""
     if args.input is not None:
         if args.profile is not None:
             raise ValueError("use either --input or --profile, not both")
-        return replay_from_csv(args.input), "replay"
+        return True
     if args.profile is None or args.users is None or args.basestations is None:
         raise ValueError("need --input, or --profile with --users and --basestations")
-    spec = ProfileSpec(args.profile, args.users, args.basestations, args.seed)
-    return generate(spec), spec.kind.replace("_", "-")
+    return False
 
 
 def _cmd_simulate(args):
-    W, _ = _matrix_from_args(args)
+    if _replaying(args):
+        W = replay_from_csv(args.input)
+    else:
+        W = generate(ProfileSpec(args.profile, args.users, args.basestations, args.seed))
     strategies = args.strategy or ["greedy"]
     reference_kind = _REFERENCE_BY_FLAG[args.reference]
-    reference = _reference_value(W, reference_kind)
+    reference = reference_value(W, reference_kind)
     print(f"users: {W.n}  basestations: {W.m}")
     print(f"reference ({reference_kind}): {_fmt(reference)}")
     for strategy in strategies:
         alloc = run_strategy(strategy, W)
         utility = system_utility(alloc, W)
-        ratio = _ratio_value(reference, utility)
+        ratio = ratio_value(reference, utility)
         print(f"strategy {strategy}: utility {_fmt(utility)} ratio {_fmt(ratio)}")
         for j, part in enumerate(alloc.parts):
             users = " ".join(str(x) for x in sorted(part))
@@ -154,23 +157,17 @@ def _cmd_simulate(args):
 def _cmd_ratio_experiment(args):
     strategies = args.strategy or ["greedy"]
     reference_kind = _REFERENCE_BY_FLAG[args.reference]
-    if args.input is not None:
+    if _replaying(args):
         W = replay_from_csv(args.input)
         records = evaluate_strategies(
             W, strategies, reference_kind,
             trial=0, profile_name="replay", seed=args.seed)
     else:
-        if args.profile is None or args.users is None or args.basestations is None:
-            raise ValueError("need --input, or --profile with --users and --basestations")
         records = run_experiment(
             args.profile, args.users, args.basestations, args.trials,
             strategies=strategies, reference_kind=reference_kind, seed=args.seed)
-    text = format_records_csv(records)
-    if args.output == "-":
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    write_records_csv(records, sys.stdout if args.output == "-" else args.output)
+    if args.output != "-":
         print(f"wrote {len(records)} records to {args.output}", file=sys.stderr)
     for row in summarize(records) if records else []:
         print(
@@ -225,7 +222,7 @@ def _add_instance_flags(p):
     p.add_argument("--profile", choices=_PROFILE_CHOICES, help="SNR profile kind")
     p.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
     p.add_argument("--input", help="replay a weight-matrix CSV instead of generating")
-    p.add_argument("--strategy", action="append", choices=_STRATEGY_CHOICES,
+    p.add_argument("--strategy", action="append", choices=STRATEGIES,
                    help="strategy to run (repeatable; default greedy)")
     p.add_argument("--reference", choices=sorted(_REFERENCE_BY_FLAG), default="analytic-upper",
                    help="offline reference (default analytic-upper)")

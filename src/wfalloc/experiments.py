@@ -10,12 +10,11 @@ from dataclasses import dataclass
 from statistics import fmean
 
 from .allocation import (
-    BRUTE_FORCE_CAP,
     REFERENCE_KINDS,
     STRATEGIES,
-    InstanceTooLargeError,
-    _ratio_value,
-    _reference_value,
+    check_bruteforce_size,
+    ratio_value,
+    reference_value,
     run_strategy,
     system_utility,
 )
@@ -69,14 +68,14 @@ def evaluate_strategies(W, strategies, reference_kind, *, trial, profile_name, s
     for s in strategies:
         if s not in STRATEGIES:
             raise ValueError(f"unknown strategy {s!r}; expected one of {STRATEGIES}")
-    reference = _reference_value(W, reference_kind)
+    reference = reference_value(W, reference_kind)
     records = []
     for strategy in strategies:
         utility = system_utility(run_strategy(strategy, W), W)
         records.append(ExperimentRecord(
             trial=trial, n=W.n, m=W.m, profile=profile_name, strategy=strategy,
             utility=utility, offline_bound=reference, reference_kind=reference_kind,
-            ratio=_ratio_value(reference, utility), seed=seed,
+            ratio=ratio_value(reference, utility), seed=seed,
         ))
     return records
 
@@ -94,10 +93,8 @@ def run_experiment(kind, n, m, trials, strategies=("greedy",),
     spec0 = ProfileSpec(kind, n, m, seed)
     if reference_kind not in REFERENCE_KINDS:
         raise ValueError(f"unknown reference kind {reference_kind!r}; expected one of {REFERENCE_KINDS}")
-    if reference_kind == "brute_force_optimum" and m ** n > BRUTE_FORCE_CAP:
-        raise InstanceTooLargeError(
-            f"instance too large for brute force: {m}^{n} assignments exceed {BRUTE_FORCE_CAP}"
-        )
+    if reference_kind == "brute_force_optimum":
+        check_bruteforce_size(n, m)
     profile_name = spec0.kind.replace("_", "-")
     records = []
     for t in range(trials):

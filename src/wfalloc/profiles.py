@@ -8,6 +8,7 @@ values. Generation is a pure function of (kind, n, m, seed).
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,8 @@ class ProfileSpec:
         object.__setattr__(self, "kind", str(self.kind).replace("-", "_"))
         if self.kind not in PROFILE_KINDS:
             raise ValueError(f"unknown profile kind {self.kind!r}; expected one of {PROFILE_KINDS}")
+        if not (isinstance(self.n, numbers.Integral) and isinstance(self.m, numbers.Integral)):
+            raise ValueError(f"n and m must be integers, got {self.n!r} and {self.m!r}")
         if self.n < 1 or self.m < 1:
             raise ValueError("n and m must be at least 1")
         if self.kind in _THREE_PICK_KINDS and self.m < 3:

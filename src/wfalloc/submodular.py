@@ -7,11 +7,13 @@ than a sampled verdict. Oversized ground sets are rejected, never sampled.
 """
 
 import csv
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable
 
 __all__ = [
+    "MONOTONE_SETPAIR_CAP",
     "GroundSetTooLargeError",
     "SetFunctionOracle",
     "SubmodularityViolation",
@@ -24,6 +26,9 @@ __all__ = [
 ]
 
 
+MONOTONE_SETPAIR_CAP = 8  # default cap of the checks that compare pairs of subsets
+
+
 class GroundSetTooLargeError(ValueError):
     """Ground set exceeds the exhaustive-enumeration cap."""
 
@@ -32,9 +37,9 @@ class GroundSetTooLargeError(ValueError):
 class SetFunctionOracle:
     """A finite ground set plus a subset -> value callable.
 
-    ``evaluate`` must be deterministic and safe to call repeatedly (results
-    are memoized during a check). Elements must sort consistently so that
-    enumeration order is reproducible.
+    ``evaluate`` must be deterministic and return a finite number; each
+    subset is evaluated once per check. Elements must sort consistently so
+    that enumeration order is reproducible.
     """
 
     ground_set: frozenset
@@ -57,22 +62,33 @@ class SubmodularityViolation:
     gap: float
 
 
-def _memoized(oracle):
-    cache = {}
+def _subset_table(oracle, tolerance, max_ground_size, check):
+    """Validate a check's arguments, then evaluate the oracle once per subset.
 
-    def f(s):
-        v = cache.get(s)
-        if v is None:
-            v = float(oracle.evaluate(s))
-            cache[s] = v
-        return v
-
-    return f
-
-
-def _subsets(elems):
-    n = len(elems)
-    return [frozenset(e for t, e in enumerate(elems) if mask >> t & 1) for mask in range(1 << n)]
+    Returns ``(elems, subsets, values)``: the sorted ground set, and every
+    subset with its oracle value indexed by bitmask, where bit t of the mask
+    holds ``elems[t]``. A non-finite tolerance or oracle value raises
+    ValueError, since any comparison with NaN is false and would certify
+    vacuously.
+    """
+    if not math.isfinite(tolerance):
+        raise ValueError(f"tolerance must be finite, got {tolerance}")
+    if tolerance < 0.0:
+        raise ValueError("tolerance must be nonnegative")
+    elems = sorted(oracle.ground_set)
+    u = len(elems)
+    if u > max_ground_size:
+        raise GroundSetTooLargeError(
+            f"ground set too large for the exhaustive {check} check: {u} > {max_ground_size}"
+        )
+    subsets = [frozenset()]
+    for e in elems:
+        subsets += [s | {e} for s in subsets]
+    values = [float(oracle.evaluate(s)) for s in subsets]
+    for s, v in zip(subsets, values):
+        if not math.isfinite(v):
+            raise ValueError(f"oracle value at {sorted(s)} is not finite: {v}")
+    return elems, subsets, values
 
 
 def check_submodular_pairwise(oracle, tolerance=1e-9, max_ground_size=12):
@@ -82,75 +98,48 @@ def check_submodular_pairwise(oracle, tolerance=1e-9, max_ground_size=12):
     An empty list certifies the pairwise submodularity inequality at this
     tolerance over the whole ground set.
     """
-    if tolerance < 0.0:
-        raise ValueError("tolerance must be nonnegative")
-    elems = sorted(oracle.ground_set)
-    u = len(elems)
-    if u > max_ground_size:
-        raise GroundSetTooLargeError(
-            f"ground set too large for the exhaustive pairwise check: {u} > {max_ground_size}"
-        )
-    f = _memoized(oracle)
+    elems, subsets, f = _subset_table(oracle, tolerance, max_ground_size, "pairwise")
     violations = []
-    for mask in range(1 << u):
-        base = frozenset(e for t, e in enumerate(elems) if mask >> t & 1)
-        outside = [e for t, e in enumerate(elems) if not mask >> t & 1]
-        f_base = f(base)
+    for mask, base in enumerate(subsets):
+        outside = [t for t in range(len(elems)) if not mask >> t & 1]
+        f_base = f[mask]
         for a, i in enumerate(outside):
-            f_i = f(base | {i})
+            with_i = mask | 1 << i
+            f_i = f[with_i]
             for j in outside[a + 1:]:
-                lhs = f_i + f(base | {j})
-                rhs = f_base + f(base | {i, j})
+                lhs = f_i + f[mask | 1 << j]
+                rhs = f_base + f[with_i | 1 << j]
                 gap = rhs - lhs
                 if gap > tolerance:
-                    violations.append(SubmodularityViolation(base, i, j, lhs, rhs, gap))
+                    violations.append(SubmodularityViolation(base, elems[i], elems[j], lhs, rhs, gap))
     return violations
 
 
-def check_setpair_submodular(oracle, tolerance=1e-9, max_ground_size=8):
+def check_setpair_submodular(oracle, tolerance=1e-9, max_ground_size=MONOTONE_SETPAIR_CAP):
     """Every unordered pair (S, T) with f(S) + f(T) < f(S&T) + f(S|T) - tolerance.
 
     The set-pair form of submodularity; an empty list on small ground sets
     confirms it agrees with the pairwise form.
     """
-    if tolerance < 0.0:
-        raise ValueError("tolerance must be nonnegative")
-    elems = sorted(oracle.ground_set)
-    u = len(elems)
-    if u > max_ground_size:
-        raise GroundSetTooLargeError(
-            f"ground set too large for the exhaustive set-pair check: {u} > {max_ground_size}"
-        )
-    f = _memoized(oracle)
-    subs = _subsets(elems)
+    _, subsets, f = _subset_table(oracle, tolerance, max_ground_size, "set-pair")
     violations = []
-    for smask in range(len(subs)):
-        for tmask in range(smask, len(subs)):
-            gap = f(subs[smask & tmask]) + f(subs[smask | tmask]) - f(subs[smask]) - f(subs[tmask])
+    for smask in range(len(subsets)):
+        for tmask in range(smask, len(subsets)):
+            gap = f[smask & tmask] + f[smask | tmask] - f[smask] - f[tmask]
             if gap > tolerance:
-                violations.append((subs[smask], subs[tmask]))
+                violations.append((subsets[smask], subsets[tmask]))
     return violations
 
 
-def check_monotone(oracle, tolerance=1e-9, max_ground_size=8):
+def check_monotone(oracle, tolerance=1e-9, max_ground_size=MONOTONE_SETPAIR_CAP):
     """Every nested pair (S, T) with S subset of T but f(S) > f(T) + tolerance."""
-    if tolerance < 0.0:
-        raise ValueError("tolerance must be nonnegative")
-    elems = sorted(oracle.ground_set)
-    u = len(elems)
-    if u > max_ground_size:
-        raise GroundSetTooLargeError(
-            f"ground set too large for the exhaustive monotonicity check: {u} > {max_ground_size}"
-        )
-    f = _memoized(oracle)
-    subs = _subsets(elems)
+    _, subsets, f = _subset_table(oracle, tolerance, max_ground_size, "monotonicity")
     violations = []
-    for tmask in range(len(subs)):
-        f_t = f(subs[tmask])
+    for tmask, f_t in enumerate(f):
         smask = tmask
         while True:
-            if f(subs[smask]) > f_t + tolerance:
-                violations.append((subs[smask], subs[tmask]))
+            if f[smask] > f_t + tolerance:
+                violations.append((subsets[smask], subsets[tmask]))
             if smask == 0:
                 break
             smask = (smask - 1) & tmask

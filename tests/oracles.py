@@ -3,8 +3,9 @@
 Nothing here shares code paths with the library: the water level comes from
 bisection instead of sort-and-scan, optimal rates from a constrained
 numerical maximizer and random simplex sampling instead of the closed form,
-and the offline optimum from plain product enumeration instead of the
-memoized search.
+the offline optimum from plain product enumeration instead of the
+memoized search, and checker violations from itertools enumeration instead
+of the library's bitmask table.
 """
 
 import itertools
@@ -102,3 +103,37 @@ def greedy_by_hand(W, mode="marginal_gain", scale=1.0):
         parts[best_j].append(u)
         utils[best_j] = best_val
     return tuple(frozenset(p) for p in parts)
+
+
+def counting_order_subsets(ground_set):
+    """Every subset in binary-counter order over the sorted elements, the
+    smallest element being the lowest bit: the checkers' reporting order."""
+    elems = sorted(ground_set)
+    return [frozenset(e for e, bit in zip(reversed(elems), flags) if bit)
+            for flags in itertools.product((False, True), repeat=len(elems))]
+
+
+def naive_pairwise_violations(ground_set, f, tolerance):
+    """(S, i, j, lhs, rhs, gap) for every failing pairwise triple."""
+    out = []
+    for base in counting_order_subsets(ground_set):
+        for i, j in itertools.combinations(sorted(ground_set - base), 2):
+            lhs = f(base | {i}) + f(base | {j})
+            rhs = f(base) + f(base | {i, j})
+            if rhs - lhs > tolerance:
+                out.append((base, i, j, lhs, rhs, rhs - lhs))
+    return out
+
+
+def naive_setpair_violations(ground_set, f, tolerance):
+    """(S, T), S no later than T in counting order, with f(S)+f(T) < f(S&T)+f(S|T) - tolerance."""
+    pairs = itertools.combinations_with_replacement(counting_order_subsets(ground_set), 2)
+    return [(s, t) for s, t in pairs if f(s & t) + f(s | t) - f(s) - f(t) > tolerance]
+
+
+def naive_monotone_violations(ground_set, f, tolerance):
+    """(S, T) with S a subset of T and f(S) > f(T) + tolerance; for each T,
+    its subsets S from latest to earliest in counting order."""
+    subsets = counting_order_subsets(ground_set)
+    return [(s, t) for t in subsets for s in reversed(subsets)
+            if s <= t and f(s) > f(t) + tolerance]

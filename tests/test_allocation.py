@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -8,12 +9,12 @@ from wfalloc.allocation import (
     InstanceTooLargeError,
     RatioReport,
     WeightMatrix,
-    _ratio_value,
     competitive_ratio,
     max_weight,
     offline_bruteforce,
     offline_upper_bound,
     online_greedy,
+    ratio_value,
     run_strategy,
     system_utility,
 )
@@ -192,6 +193,17 @@ def test_bruteforce_cap():
         offline_bruteforce(W)
 
 
+def test_bruteforce_leaves_no_reference_cycles():
+    W = WeightMatrix(np.random.default_rng(3).uniform(0.0, 10.0, (6, 3)))
+    gc.collect()
+    gc.disable()
+    try:
+        offline_bruteforce(W)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_upper_bound_examples():
     W = WeightMatrix([[10.0, 1.0], [1.0, 10.0]])
     assert offline_upper_bound(W) == pytest.approx(2 * math.log(11.0), abs=1e-12)
@@ -222,9 +234,9 @@ def test_ratio_report_examples():
 
 
 def test_ratio_value_conventions():
-    assert _ratio_value(0.0, 0.0) == 1.0
-    assert _ratio_value(3.0, 0.0) == math.inf
-    assert _ratio_value(3.0, 2.0) == 1.5
+    assert ratio_value(0.0, 0.0) == 1.0
+    assert ratio_value(3.0, 0.0) == math.inf
+    assert ratio_value(3.0, 2.0) == 1.5
 
 
 def test_two_competitive_at_desk_scale():

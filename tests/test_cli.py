@@ -47,6 +47,14 @@ def test_waterfill_needs_a_source(capsys):
     assert "error:" in err
 
 
+def test_waterfill_rejects_non_finite_snrs(capsys):
+    for snrs in ("nan,5", "5,inf"):
+        code, out, err = run_cli(capsys, "waterfill", "--snrs", snrs)
+        assert code == 2
+        assert out == ""
+        assert "SNRs must be finite" in err
+
+
 def test_waterfill_bad_noise_string(capsys):
     code, _, err = run_cli(capsys, "waterfill", "--noises", "1.0,abc")
     assert code == 2
@@ -56,11 +64,24 @@ def test_waterfill_bad_noise_string(capsys):
 # --- check-submodular -----------------------------------------------------
 
 def test_check_submodular_reports_clean(capsys):
-    code, out, _ = run_cli(capsys, "check-submodular", "--noises", "1,2,4,8", "--power", "1")
+    code, out, err = run_cli(capsys, "check-submodular", "--noises", "1,2,4,8", "--power", "1")
     assert code == 0
-    assert "pairwise: 0 violations in 24 triples" in out
-    assert "monotone: 0 violations" in out
-    assert "setpair: 0 violations" in out
+    assert err == ""
+    assert out == (
+        "ground_set: 4 elements, tolerance 1e-09\n"
+        "pairwise: 0 violations in 24 triples\n"
+        "monotone: 0 violations\n"
+        "setpair: 0 violations\n"
+    )
+
+
+def test_check_submodular_rejects_non_finite_tolerance(capsys):
+    for tolerance in ("nan", "inf"):
+        code, out, err = run_cli(capsys, "check-submodular", "--noises", "1,2,3",
+                                 "--tolerance", tolerance)
+        assert code == 2
+        assert "0 violations" not in out
+        assert "tolerance must be finite" in err
 
 
 def test_check_submodular_snrs_and_dump(capsys, tmp_path):
@@ -98,12 +119,36 @@ def test_simulate_replay(capsys, tmp_path):
     assert "users: 3" in out
 
 
+def test_simulate_bruteforce_exact_stdout(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--users", "6", "--basestations", "3",
+                             "--profile", "correlated", "--seed", "7",
+                             "--strategy", "greedy", "--strategy", "max-weight",
+                             "--reference", "brute-force")
+    assert code == 0
+    assert err == ""
+    assert out == (
+        "users: 6  basestations: 3\n"
+        "reference (brute_force_optimum): 6.12844613164\n"
+        "strategy greedy: utility 6.09072098531 ratio 1.00619387203\n"
+        "  bs_1: 0\n"
+        "  bs_2: 1 4\n"
+        "  bs_3: 2 3 5\n"
+        "strategy max-weight: utility 3.14524374127 ratio 1.94848051082\n"
+        "  bs_1: 0 1 2 3 4 5\n"
+        "  bs_2: \n"
+        "  bs_3: \n"
+    )
+
+
 def test_simulate_rejects_both_sources(capsys, tmp_path):
     path = tmp_path / "w.csv"
     write_weights_csv(generate(ProfileSpec("iid_unit", 3, 2, 8)), path)
-    code, _, err = run_cli(capsys, "simulate", "--input", str(path),
-                           "--profile", "iid-unit")
-    assert code == 2
+    for command in ("simulate", "ratio-experiment"):
+        code, out, err = run_cli(capsys, command, "--input", str(path),
+                                 "--profile", "iid-unit")
+        assert code == 2
+        assert out == ""
+        assert "either --input or --profile" in err
 
 
 def test_simulate_bruteforce_too_large(capsys):

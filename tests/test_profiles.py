@@ -24,6 +24,10 @@ def test_spec_validation():
         ProfileSpec("correlated", 4, 2, 0)
     with pytest.raises(ValueError, match="64-bit"):
         ProfileSpec("iid_unit", 4, 4, 2**64)
+    for n, m in ((2.5, 2), (2, 2.0), ("3", 2)):
+        with pytest.raises(ValueError, match="must be integers"):
+            ProfileSpec("iid_unit", n, m, 0)
+    assert generate(ProfileSpec("iid_unit", np.int64(2), np.int64(3), 0)).weights.shape == (2, 3)
     # hyphenated spelling is accepted and normalized
     assert ProfileSpec("iid-ten", 2, 2, 0).kind == "iid_ten"
 

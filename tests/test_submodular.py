@@ -17,6 +17,13 @@ from wfalloc.submodular import (
 )
 from wfalloc.waterfill import NoiseProfile
 
+from oracles import (
+    counting_order_subsets,
+    naive_monotone_violations,
+    naive_pairwise_violations,
+    naive_setpair_violations,
+)
+
 
 def oracle_from(fn, size):
     return SetFunctionOracle(frozenset(range(size)), fn)
@@ -108,6 +115,47 @@ def test_monotone_waterfilling_rate_clean():
 def test_monotone_cap():
     with pytest.raises(GroundSetTooLargeError):
         check_monotone(oracle_from(MODULAR, 9))
+
+
+# --- all three checks ----------------------------------------------------
+
+CHECKERS = (check_submodular_pairwise, check_setpair_submodular, check_monotone)
+
+
+def test_checkers_match_plain_enumeration_in_content_and_order():
+    rng = np.random.default_rng(53)
+    for size in range(8):
+        for ground in (frozenset(range(size)), frozenset(3 * k + 10 for k in range(size)),
+                       frozenset("abcdefg"[:size])):
+            table = {s: float(v) for s, v in zip(counting_order_subsets(ground),
+                                                  rng.uniform(0.0, 1.0, 1 << size))}
+            for fn in (CARD_SQUARED, PAIRS, lambda s: -float(len(s)), table.__getitem__):
+                oracle = SetFunctionOracle(ground, fn)
+                for tol in (0.0, 1e-9, 0.25):
+                    pairwise = [(v.base_set, v.elem_i, v.elem_j, v.lhs, v.rhs, v.gap)
+                                for v in check_submodular_pairwise(oracle, tolerance=tol)]
+                    assert pairwise == naive_pairwise_violations(ground, fn, tol)
+                    assert check_setpair_submodular(oracle, tolerance=tol) == \
+                        naive_setpair_violations(ground, fn, tol)
+                    assert check_monotone(oracle, tolerance=tol) == \
+                        naive_monotone_violations(ground, fn, tol)
+
+
+@pytest.mark.parametrize("check", CHECKERS)
+@pytest.mark.parametrize("tolerance", [math.nan, math.inf, -math.inf])
+def test_non_finite_tolerance_is_rejected(check, tolerance):
+    # a NaN tolerance makes every gap comparison false: a vacuous certificate
+    with pytest.raises(ValueError, match="tolerance must be finite"):
+        check(oracle_from(CARD_SQUARED, 3), tolerance=tolerance)
+
+
+@pytest.mark.parametrize("check", CHECKERS)
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_oracle_value_is_rejected(check, bad):
+    with pytest.raises(ValueError, match="not finite"):
+        check(oracle_from(lambda s: bad, 3))
+    with pytest.raises(ValueError, match=r"at \[0, 2\] is not finite"):
+        check(oracle_from(lambda s: bad if s == {0, 2} else MODULAR(s), 3))
 
 
 # --- majorization ---------------------------------------------------------
