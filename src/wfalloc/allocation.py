@@ -4,8 +4,8 @@ Users arrive one at a time, reveal their SNR toward each basestation, and
 must be assigned immediately and irrevocably. Each basestation then splits
 unit transmit power across its users by waterfilling, so per-station value
 is the log utility of the assigned SNRs and system utility is the sum over
-stations. Offline references come either from exhaustive enumeration of all
-assignments (desk scale only) or from an analytic upper bound.
+stations. Offline references come either from the exact optimum (a DP over
+user subsets, desk scale only) or from an analytic upper bound.
 """
 
 import math
@@ -174,69 +174,65 @@ def system_utility(alloc, W):
     )
 
 
-def _iter_bits(mask):
-    u = 0
-    while mask:
-        if mask & 1:
-            yield u
-        mask >>= 1
-        u += 1
-
-
 def check_bruteforce_size(n, m):
     """Raise InstanceTooLargeError when m^n assignments exceed the cap."""
-    if m ** n > BRUTE_FORCE_CAP:
+    # m >= 2 with n above the cap's bit length gives m^n >= 2^n > cap: no power is built
+    if (m >= 2 and n > BRUTE_FORCE_CAP.bit_length()) or m ** n > BRUTE_FORCE_CAP:
         raise InstanceTooLargeError(
             f"instance too large for brute force: {m}^{n} assignments exceed {BRUTE_FORCE_CAP}"
         )
 
 
-def offline_bruteforce(W):
-    """Exact offline optimum by enumerating all m^n assignments.
+def _subset_utilities(column):
+    """log_utility of every subset of one station's SNRs; bit u of the index is user u."""
+    subsets = [[]]
+    for w in column:
+        subsets += [s + [w] for s in subsets]
+    return [log_utility(s) for s in subsets]
 
-    Depth-first over users with per-(station, user-set) utility memoization,
-    so repeated part evaluations are amortized. Raises InstanceTooLargeError
-    when m^n exceeds the cap. Returns (allocation, value) with the value
-    recomputed through system_utility for consistency with other callers.
+
+def _best_share(rest, own, mask):
+    """(value, T) maximizing rest[mask - T] + own[T] over T within mask; ties go to largest T."""
+    best, arg, share = rest[0] + own[mask], mask, mask
+    while share:
+        share = (share - 1) & mask
+        value = rest[mask ^ share] + own[share]
+        if value > best:
+            best, arg = value, share
+    return best, arg
+
+
+def offline_bruteforce(W):
+    """Exact offline optimum by dynamic programming over user subsets.
+
+    With f_j station j's log utility of every user subset, the best value
+    of giving users S to stations 0..j is best_j[S] = max over T within S
+    of best_{j-1}[S - T] + f_j(T): O(m 3^n) steps. On ties the last station
+    takes the largest user bitmask, then each earlier station likewise
+    among the users left. Raises InstanceTooLargeError when m^n exceeds the
+    cap. Returns (allocation, value) with the value recomputed through
+    system_utility for consistency with other callers.
     """
     n, m = W.n, W.m
     check_bruteforce_size(n, m)
-    weights = W.weights
-    part_cache = {}
-
-    def part_utility(j, mask):
-        key = (j, mask)
-        val = part_cache.get(key)
-        if val is None:
-            val = log_utility([weights[u, j] for u in _iter_bits(mask)])
-            part_cache[key] = val
-        return val
-
-    best_value = -math.inf
-    best_masks = None
-    masks = [0] * m
-    utils = [0.0] * m
-
-    def descend(u, total):
-        nonlocal best_value, best_masks
-        if u == n:
-            if total > best_value:
-                best_value = total
-                best_masks = masks.copy()
-            return
-        bit = 1 << u
-        for j in range(m):
-            old_mask, old_util = masks[j], utils[j]
-            new_util = part_utility(j, old_mask | bit)
-            masks[j] = old_mask | bit
-            utils[j] = new_util
-            descend(u + 1, total - old_util + new_util)
-            masks[j] = old_mask
-            utils[j] = old_util
-
-    descend(0, 0.0)
-    del descend  # it refers to itself; unbinding it frees the part cache now, not at a later GC
-    alloc = Allocation(tuple(frozenset(_iter_bits(mask)) for mask in best_masks))
+    if m == 1:
+        alloc = Allocation((range(n),))
+    else:
+        columns = W.weights.T.tolist()
+        best = _subset_utilities(columns[0])
+        shares = []
+        for column in columns[1:-1]:
+            own = _subset_utilities(column)
+            best, share = zip(*(_best_share(best, own, mask) for mask in range(len(own))))
+            shares.append(share)
+        rest = (1 << n) - 1  # the last station is solved on all users only
+        masks = [_best_share(best, _subset_utilities(columns[-1]), rest)[1]]
+        for share in reversed(shares):
+            rest ^= masks[-1]
+            masks.append(share[rest])
+        masks.append(rest ^ masks[-1])
+        alloc = Allocation(tuple(frozenset(u for u in range(n) if mask >> u & 1)
+                                 for mask in reversed(masks)))
     return alloc, system_utility(alloc, W)
 
 

@@ -125,8 +125,9 @@ def _cmd_check_submodular(args):
 def _replaying(args):
     """Whether the instance comes from --input rather than from --profile."""
     if args.input is not None:
-        if args.profile is not None:
-            raise ValueError("use either --input or --profile, not both")
+        for flag in ("profile", "users", "basestations", "trials"):  # simulate has no --trials
+            if getattr(args, flag, None) is not None:
+                raise ValueError(f"use either --input or --{flag}, not both")
         return True
     if args.profile is None or args.users is None or args.basestations is None:
         raise ValueError("need --input, or --profile with --users and --basestations")
@@ -164,7 +165,7 @@ def _cmd_ratio_experiment(args):
             trial=0, profile_name="replay", seed=args.seed)
     else:
         records = run_experiment(
-            args.profile, args.users, args.basestations, args.trials,
+            args.profile, args.users, args.basestations, 1 if args.trials is None else args.trials,
             strategies=strategies, reference_kind=reference_kind, seed=args.seed)
     write_records_csv(records, sys.stdout if args.output == "-" else args.output)
     if args.output != "-":
@@ -209,7 +210,7 @@ def build_parser():
 
     r = sub.add_parser("ratio-experiment", help="batch trials, CSV records out")
     _add_instance_flags(r)
-    r.add_argument("--trials", type=int, default=1, help="number of paired trials (default 1)")
+    r.add_argument("--trials", type=int, help="number of paired trials (default 1)")
     r.add_argument("--output", default="-", help="records CSV path, or - for stdout (default)")
     r.set_defaults(handler=_cmd_ratio_experiment)
 

@@ -86,7 +86,7 @@ def run_experiment(kind, n, m, trials, strategies=("greedy",),
 
     Trial t draws its matrix from seed XOR t; records come back in
     (trial, strategy) order. Requesting the brute-force reference on an
-    instance with m^n beyond the enumeration cap fails up front.
+    instance with m^n beyond the brute-force cap fails up front.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")

@@ -55,8 +55,8 @@ class ProfileSpec:
             raise ValueError("n and m must be at least 1")
         if self.kind in _THREE_PICK_KINDS and self.m < 3:
             raise ValueError(f"profile {self.kind!r} picks 3 basestations per user and needs m >= 3")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError("seed must fit an unsigned 64-bit integer")
+        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**64):
+            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
 
 
 def generate(spec: ProfileSpec) -> WeightMatrix:

@@ -3,8 +3,8 @@
 Nothing here shares code paths with the library: the water level comes from
 bisection instead of sort-and-scan, optimal rates from a constrained
 numerical maximizer and random simplex sampling instead of the closed form,
-the offline optimum from plain product enumeration instead of the
-memoized search, and checker violations from itertools enumeration instead
+the offline optimum from plain product enumeration instead of the subset
+dynamic program, and checker violations from itertools enumeration instead
 of the library's bitmask table.
 """
 

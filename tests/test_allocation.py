@@ -1,5 +1,6 @@
 import gc
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from wfalloc.allocation import (
     InstanceTooLargeError,
     RatioReport,
     WeightMatrix,
+    check_bruteforce_size,
     competitive_ratio,
     max_weight,
     offline_bruteforce,
@@ -18,6 +20,7 @@ from wfalloc.allocation import (
     run_strategy,
     system_utility,
 )
+from wfalloc.profiles import ProfileSpec, generate
 from wfalloc.submodular import SetFunctionOracle, check_monotone, check_submodular_pairwise
 from wfalloc.waterfill import log_utility
 
@@ -170,8 +173,21 @@ def test_bruteforce_examples():
 
 def test_bruteforce_matches_naive_enumeration():
     rng = np.random.default_rng(93)
-    for _ in range(15):
-        W = random_matrix(rng, n=int(rng.integers(1, 6)), m=int(rng.integers(1, 4)))
+    cases = [random_matrix(rng, n=int(rng.integers(1, 6)), m=int(rng.integers(1, 4)))
+             for _ in range(15)]
+    # ties: zero-SNR columns, identical columns, rows equal across stations
+    zero_column = rng.uniform(0.0, 10.0, (6, 3))
+    zero_column[:, 1] = 0.0
+    cases += [
+        WeightMatrix(zero_column),
+        WeightMatrix(np.zeros((4, 3))),
+        WeightMatrix(np.repeat(rng.uniform(0.0, 10.0, (6, 1)), 3, axis=1)),
+        WeightMatrix(np.repeat(rng.uniform(0.0, 10.0, (1, 4)), 5, axis=0)),
+        generate(ProfileSpec("correlated", 7, 3, 7)),
+        random_matrix(rng, n=7, m=4),
+        random_matrix(rng, n=7, m=2),
+    ]
+    for W in cases:
         alloc, value = offline_bruteforce(W)
         _, naive = naive_best_allocation(W)
         assert value == pytest.approx(naive, rel=1e-12)
@@ -191,6 +207,22 @@ def test_bruteforce_cap():
     W = WeightMatrix(np.ones((21, 2)))
     with pytest.raises(InstanceTooLargeError, match="instance too large"):
         offline_bruteforce(W)
+    for n, m in ((6, 10), (19, 2), (2, 1000), (10**6, 1), (0, 10**9)):
+        check_bruteforce_size(n, m)
+    for n, m in ((20, 2), (7, 10), (1, 10**6 + 1), (13, 3)):
+        with pytest.raises(InstanceTooLargeError, match="instance too large"):
+            check_bruteforce_size(n, m)
+    start = time.perf_counter()
+    with pytest.raises(InstanceTooLargeError, match=r"50\^1000000 assignments exceed 1000000"):
+        check_bruteforce_size(10**6, 50)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_bruteforce_one_station_many_users():
+    W = WeightMatrix(np.random.default_rng(4).uniform(0.0, 10.0, (5000, 1)))
+    alloc, value = offline_bruteforce(W)
+    assert alloc.parts == (frozenset(range(5000)),)
+    assert value == system_utility(alloc, W)
 
 
 def test_bruteforce_leaves_no_reference_cycles():

@@ -143,12 +143,23 @@ def test_simulate_bruteforce_exact_stdout(capsys):
 def test_simulate_rejects_both_sources(capsys, tmp_path):
     path = tmp_path / "w.csv"
     write_weights_csv(generate(ProfileSpec("iid_unit", 3, 2, 8)), path)
-    for command in ("simulate", "ratio-experiment"):
-        code, out, err = run_cli(capsys, command, "--input", str(path),
-                                 "--profile", "iid-unit")
+    rejected = [(command, flags) for command in ("simulate", "ratio-experiment")
+                for flags in (["--profile", "iid-unit"], ["--users", "99"], ["--basestations", "2"])]
+    rejected += [("ratio-experiment", ["--trials", "1"]),
+                 ("ratio-experiment", ["--users", "99", "--trials", "5"])]
+    for command, flags in rejected:
+        code, out, err = run_cli(capsys, command, "--input", str(path), *flags)
         assert code == 2
         assert out == ""
-        assert "either --input or --profile" in err
+        assert f"either --input or {flags[0]}" in err
+
+
+def test_simulate_bruteforce_one_station(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--users", "1200", "--basestations", "1",
+                             "--profile", "iid-unit", "--reference", "brute-force")
+    assert code == 0
+    assert err == ""
+    assert "ratio 1\n" in out
 
 
 def test_simulate_bruteforce_too_large(capsys):

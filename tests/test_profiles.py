@@ -27,7 +27,11 @@ def test_spec_validation():
     for n, m in ((2.5, 2), (2, 2.0), ("3", 2)):
         with pytest.raises(ValueError, match="must be integers"):
             ProfileSpec("iid_unit", n, m, 0)
-    assert generate(ProfileSpec("iid_unit", np.int64(2), np.int64(3), 0)).weights.shape == (2, 3)
+    for seed in (2.5, 2.0, "3"):
+        with pytest.raises(ValueError, match="seed must be an unsigned 64-bit integer"):
+            ProfileSpec("iid_unit", 2, 2, seed)
+    spec = ProfileSpec("iid_unit", np.int64(2), np.int64(3), np.uint64(5))
+    assert generate(spec).weights.shape == (2, 3)
     # hyphenated spelling is accepted and normalized
     assert ProfileSpec("iid-ten", 2, 2, 0).kind == "iid_ten"
 
