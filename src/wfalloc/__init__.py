@@ -1,80 +1,19 @@
 """Waterfilling power allocation, submodularity checks, and online greedy
-basestation allocation experiments."""
+basestation allocation experiments.
 
-from .waterfill import (
-    NoiseProfile,
-    WaterfillSolution,
-    water_level,
-    waterfill,
-    rate_of_subset,
-    log_utility,
-)
-from .submodular import (
-    GroundSetTooLargeError,
-    SetFunctionOracle,
-    SubmodularityViolation,
-    check_submodular_pairwise,
-    check_setpair_submodular,
-    check_monotone,
-    majorizes,
-    karamata_holds,
-    violations_to_csv,
-)
-from .lemmas import (
-    MAIN_CASE,
-    EASY_I_INACTIVE,
-    EASY_J_INACTIVE,
-    LemmaWitness,
-    lemma_witness,
-    build_majorization_vectors,
-    rate_oracle,
-)
-from .allocation import (
-    BRUTE_FORCE_CAP,
-    InstanceTooLargeError,
-    WeightMatrix,
-    Allocation,
-    RatioReport,
-    online_greedy,
-    max_weight,
-    system_utility,
-    offline_bruteforce,
-    offline_upper_bound,
-    run_strategy,
-    competitive_ratio,
-)
-from .profiles import (
-    PROFILE_KINDS,
-    PRNG_ALGORITHM,
-    ProfileSpec,
-    generate,
-    replay_from_csv,
-    write_weights_csv,
-)
-from .experiments import (
-    RECORD_HEADER,
-    ExperimentRecord,
-    SummaryRow,
-    evaluate_strategies,
-    run_experiment,
-    summarize,
-    format_records_csv,
-    write_records_csv,
-)
+The package republishes every module's public names; each module's
+``__all__`` is the one list of them. ``wfalloc.waterfill`` is the solver
+function, which the star import binds over the submodule of that name.
+"""
 
-__all__ = [
-    "NoiseProfile", "WaterfillSolution", "water_level", "waterfill",
-    "rate_of_subset", "log_utility",
-    "GroundSetTooLargeError", "SetFunctionOracle", "SubmodularityViolation",
-    "check_submodular_pairwise", "check_setpair_submodular", "check_monotone",
-    "majorizes", "karamata_holds", "violations_to_csv",
-    "MAIN_CASE", "EASY_I_INACTIVE", "EASY_J_INACTIVE", "LemmaWitness",
-    "lemma_witness", "build_majorization_vectors", "rate_oracle",
-    "BRUTE_FORCE_CAP", "InstanceTooLargeError", "WeightMatrix", "Allocation",
-    "RatioReport", "online_greedy", "max_weight", "system_utility",
-    "offline_bruteforce", "offline_upper_bound", "run_strategy", "competitive_ratio",
-    "PROFILE_KINDS", "PRNG_ALGORITHM", "ProfileSpec", "generate",
-    "replay_from_csv", "write_weights_csv",
-    "RECORD_HEADER", "ExperimentRecord", "SummaryRow", "evaluate_strategies",
-    "run_experiment", "summarize", "format_records_csv", "write_records_csv",
-]
+from . import allocation, experiments, lemmas, profiles, submodular
+from . import waterfill as _waterfill
+from .waterfill import *  # noqa: F401,F403
+from .submodular import *  # noqa: F401,F403
+from .lemmas import *  # noqa: F401,F403
+from .allocation import *  # noqa: F401,F403
+from .profiles import *  # noqa: F401,F403
+from .experiments import *  # noqa: F401,F403
+
+__all__ = [name for module in (_waterfill, submodular, lemmas, allocation, profiles, experiments)
+           for name in module.__all__]

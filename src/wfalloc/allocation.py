@@ -71,9 +71,6 @@ class WeightMatrix:
     def m(self):
         return self.weights.shape[1]
 
-    def rows(self):
-        return iter(self.weights)
-
     def __eq__(self, other):
         if not isinstance(other, WeightMatrix):
             return NotImplemented
@@ -116,37 +113,32 @@ class RatioReport:
     ratio: float
 
 
-def online_greedy(arrivals, m, mode="marginal_gain"):
-    """Assign each arrival to the basestation scoring best for it, at once
-    and irrevocably.
+def online_greedy(W, mode="marginal_gain"):
+    """Assign each row of ``W``, in arrival order, to the basestation
+    scoring best for it, at once and irrevocably.
 
     In ``marginal_gain`` mode a station's score for user i is
     L(M_j + i) - L(M_j); in ``absolute_value`` mode it is L(M_j + i)
-    itself. Ties go to the lowest station index. Every arrival must carry
-    exactly m SNR entries.
+    itself. Ties go to the lowest station index. User i's assignment reads
+    only rows 0..i.
     """
     if mode not in GREEDY_MODES:
         raise ValueError(f"unknown greedy mode {mode!r}; expected one of {GREEDY_MODES}")
-    m = int(m)
-    if m < 1:
-        raise ValueError("need at least one basestation")
     marginal = mode == "marginal_gain"
-    parts = [[] for _ in range(m)]
-    snrs = [[] for _ in range(m)]
-    utils = [0.0] * m
-    for user, row in enumerate(arrivals):
-        if len(row) != m:
-            raise ValueError(f"arrival {user} has {len(row)} SNR entries, expected {m}")
+    parts = [[] for _ in range(W.m)]
+    snrs = [[] for _ in range(W.m)]
+    utils = [0.0] * W.m
+    for user, row in enumerate(W.weights.tolist()):
         best_j = 0
         best_score = -math.inf
         best_value = 0.0
-        for j in range(m):
-            value = log_utility(snrs[j] + [row[j]])
+        for j, w in enumerate(row):
+            value = log_utility(snrs[j] + [w])
             score = value - utils[j] if marginal else value
             if score > best_score:
                 best_j, best_score, best_value = j, score, value
         parts[best_j].append(user)
-        snrs[best_j].append(float(row[best_j]))
+        snrs[best_j].append(row[best_j])
         utils[best_j] = best_value
     return Allocation(tuple(parts))
 
@@ -154,8 +146,8 @@ def online_greedy(arrivals, m, mode="marginal_gain"):
 def max_weight(W):
     """Baseline: each user goes to its highest-SNR basestation (ties low)."""
     parts = [[] for _ in range(W.m)]
-    for u in range(W.n):
-        parts[int(np.argmax(W.weights[u]))].append(u)
+    for u, j in enumerate(np.argmax(W.weights, axis=1).tolist()):
+        parts[j].append(u)
     return Allocation(tuple(parts))
 
 
@@ -168,10 +160,8 @@ def system_utility(alloc, W):
         raise ValueError(f"allocation has {alloc.m} parts but the matrix has {W.m} basestations")
     if alloc.user_ids != frozenset(range(W.n)):
         raise ValueError("allocation does not partition the arrived users")
-    return sum(
-        log_utility([W.weights[u, j] for u in sorted(part)])
-        for j, part in enumerate(alloc.parts)
-    )
+    columns = W.weights.T.tolist()
+    return sum(log_utility([columns[j][u] for u in part]) for j, part in enumerate(alloc.parts))
 
 
 def check_bruteforce_size(n, m):
@@ -257,9 +247,9 @@ def offline_upper_bound(W):
 def run_strategy(strategy, W):
     """Run a named strategy over the rows of ``W`` in arrival order."""
     if strategy == "greedy":
-        return online_greedy(W.rows(), W.m, "marginal_gain")
+        return online_greedy(W, "marginal_gain")
     if strategy == "greedy-absolute":
-        return online_greedy(W.rows(), W.m, "absolute_value")
+        return online_greedy(W, "absolute_value")
     if strategy == "max-weight":
         return max_weight(W)
     raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")

@@ -11,7 +11,7 @@ import sys
 
 from .allocation import (STRATEGIES, InstanceTooLargeError, ratio_value, reference_value,
                          run_strategy, system_utility)
-from .experiments import evaluate_strategies, run_experiment, summarize, write_records_csv
+from .experiments import _fmt, evaluate_strategies, run_experiment, summarize, write_records_csv
 from .lemmas import rate_oracle
 from .profiles import PRNG_ALGORITHM, PROFILE_KINDS, ProfileSpec, generate, replay_from_csv
 from .submodular import (
@@ -37,10 +37,6 @@ _REFERENCE_BY_FLAG = {
 }
 
 
-def _fmt(x):
-    return f"{x:.12g}"
-
-
 def _parse_reals(text, flag):
     try:
         values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
@@ -52,13 +48,13 @@ def _parse_reals(text, flag):
 
 
 def _snrs_to_profile(snrs, budget):
-    """Channels for the positive SNRs, keyed by their original index."""
+    """Channels for the SNRs with a finite noise 1/w, keyed by their original index."""
     for w in snrs:
         if not math.isfinite(w):
             raise ValueError(f"SNRs must be finite, got {w}")
         if w < 0.0:
             raise ValueError(f"SNRs must be nonnegative, got {w}")
-    ids = [u for u, w in enumerate(snrs) if w > 0.0]
+    ids = [u for u, w in enumerate(snrs) if w > 0.0 and 1.0 / w < math.inf]
     return NoiseProfile([1.0 / snrs[u] for u in ids], budget, ids)
 
 
@@ -122,11 +118,11 @@ def _cmd_check_submodular(args):
     return EXIT_OK
 
 
-def _replaying(args):
+def _replaying(args, *replay_excluded):
     """Whether the instance comes from --input rather than from --profile."""
     if args.input is not None:
-        for flag in ("profile", "users", "basestations", "trials"):  # simulate has no --trials
-            if getattr(args, flag, None) is not None:
+        for flag in ("profile", "users", "basestations", *replay_excluded):
+            if getattr(args, flag) is not None:
                 raise ValueError(f"use either --input or --{flag}, not both")
         return True
     if args.profile is None or args.users is None or args.basestations is None:
@@ -135,10 +131,10 @@ def _replaying(args):
 
 
 def _cmd_simulate(args):
-    if _replaying(args):
+    if _replaying(args, "seed"):  # a replayed instance has no use for a seed
         W = replay_from_csv(args.input)
     else:
-        W = generate(ProfileSpec(args.profile, args.users, args.basestations, args.seed))
+        W = generate(ProfileSpec(args.profile, args.users, args.basestations, args.seed or 0))
     strategies = args.strategy or ["greedy"]
     reference_kind = _REFERENCE_BY_FLAG[args.reference]
     reference = reference_value(W, reference_kind)
@@ -158,15 +154,16 @@ def _cmd_simulate(args):
 def _cmd_ratio_experiment(args):
     strategies = args.strategy or ["greedy"]
     reference_kind = _REFERENCE_BY_FLAG[args.reference]
-    if _replaying(args):
+    seed = args.seed or 0  # recorded in the CSV, so also valid with --input
+    if _replaying(args, "trials"):
         W = replay_from_csv(args.input)
         records = evaluate_strategies(
             W, strategies, reference_kind,
-            trial=0, profile_name="replay", seed=args.seed)
+            trial=0, profile_name="replay", seed=seed)
     else:
         records = run_experiment(
             args.profile, args.users, args.basestations, 1 if args.trials is None else args.trials,
-            strategies=strategies, reference_kind=reference_kind, seed=args.seed)
+            strategies=strategies, reference_kind=reference_kind, seed=seed)
     write_records_csv(records, sys.stdout if args.output == "-" else args.output)
     if args.output != "-":
         print(f"wrote {len(records)} records to {args.output}", file=sys.stderr)
@@ -221,7 +218,7 @@ def _add_instance_flags(p):
     p.add_argument("--users", type=int, help="number of arriving users")
     p.add_argument("--basestations", type=int, help="number of basestations")
     p.add_argument("--profile", choices=_PROFILE_CHOICES, help="SNR profile kind")
-    p.add_argument("--seed", type=int, default=0, help="base RNG seed (default 0)")
+    p.add_argument("--seed", type=int, help="base RNG seed (default 0)")
     p.add_argument("--input", help="replay a weight-matrix CSV instead of generating")
     p.add_argument("--strategy", action="append", choices=STRATEGIES,
                    help="strategy to run (repeatable; default greedy)")

@@ -46,6 +46,8 @@ class NoiseProfile:
         self.budget = float(budget)
         if not (math.isfinite(self.budget) and self.budget >= 0.0):
             raise ValueError(f"power budget must be finite and nonnegative, got {budget}")
+        if self.noises:
+            _check_level(self.budget, min(self.noises))
         self.ids = tuple(range(len(self.noises))) if ids is None else tuple(ids)
         if len(self.ids) != len(self.noises):
             raise ValueError("need exactly one channel id per noise variance")
@@ -96,16 +98,46 @@ class WaterfillSolution:
     rate: float
 
 
+def _check_level(budget, quietest):
+    """Raise ValueError when no water level is representable: it can reach budget + quietest."""
+    if budget + quietest == math.inf:
+        raise ValueError(f"water level overflows: budget {budget} plus noise {quietest}")
+
+
+_SHRINK = 2.0 ** -64  # exact power-of-two scale for sums that overflow
+
+
 def _scan(sorted_noises, budget):
-    """Water level and active count for ascending noises and budget > 0."""
+    """(level, k, rate) for ascending noises and budget > 0: the water level,
+    the number of funded channels, and their summed rate in nats.
+
+    A sum that overflows is taken again at an exact power-of-two scale; the
+    noises it then drops below the subnormal range are far below its
+    resolution. When budget + sorted_noises[0] overflows, the sum over all
+    channels, tested first, overflows too; no water level is representable
+    and ValueError is raised there.
+    """
     prefix = tuple(accumulate(sorted_noises))
+    shrunk = None
     for k in range(len(sorted_noises), 0, -1):
         level = (budget + prefix[k - 1]) / k
         if level > sorted_noises[k - 1]:
-            return level, k
-    # Budget below the float resolution of the quietest noise floor; fund
-    # that single channel (its power rounds to zero).
-    return (budget + sorted_noises[0]), 1
+            if level < math.inf:
+                break
+            if shrunk is None:
+                _check_level(budget, sorted_noises[0])
+                shrunk = tuple(accumulate(x * _SHRINK for x in sorted_noises))
+            level = (budget * _SHRINK + shrunk[k - 1]) / k / _SHRINK
+            if level > sorted_noises[k - 1]:
+                break
+    else:
+        # Budget below the float resolution of the quietest noise floor; fund
+        # that single channel (its power rounds to zero).
+        level, k = budget + sorted_noises[0], 1
+    rate = sum(math.log(level / x) for x in sorted_noises[:k])
+    if rate == math.inf:  # level / x overflowed for a subnormal noise x
+        rate = sum(math.log(level) - math.log(x) for x in sorted_noises[:k])
+    return level, k, rate
 
 
 def water_level(profile):
@@ -118,8 +150,7 @@ def water_level(profile):
         raise ValueError("empty set: no water level exists")
     if profile.budget == 0.0:
         raise ValueError("zero budget: no water level exists")
-    level, _ = _scan(sorted(profile.noises), profile.budget)
-    return level
+    return _scan(sorted(profile.noises), profile.budget)[0]
 
 
 def waterfill(profile):
@@ -128,14 +159,11 @@ def waterfill(profile):
     if not ids or profile.budget == 0.0:
         return WaterfillSolution(None, {c: 0.0 for c in ids}, frozenset(), 0.0)
     order = sorted(range(len(ids)), key=lambda t: profile.noises[t])
-    sorted_noises = [profile.noises[t] for t in order]
-    level, k = _scan(sorted_noises, profile.budget)
+    level, k, rate = _scan([profile.noises[t] for t in order], profile.budget)
     powers = {c: 0.0 for c in ids}
     for t in order[:k]:
         powers[ids[t]] = level - profile.noises[t]
-    active = frozenset(ids[t] for t in order[:k])
-    rate = sum(math.log(level / x) for x in sorted_noises[:k])
-    return WaterfillSolution(level, powers, active, rate)
+    return WaterfillSolution(level, powers, frozenset(ids[t] for t in order[:k]), rate)
 
 
 def rate_of_subset(profile, channels):
@@ -151,8 +179,9 @@ def log_utility(snrs, budget=1.0):
     """Best sum rate from splitting ``budget`` across receivers with the
     given SNRs (unit transmit power model unless overridden).
 
-    A receiver with SNR w behaves like a channel with noise 1/w; zero-SNR
-    receivers can never be funded and are excluded before solving.
+    A receiver with SNR w behaves like a channel with noise 1/w. Receivers
+    whose noise is infinite (zero SNR, or one so small that 1/w overflows)
+    can never be funded and are excluded before solving.
     """
     if not (budget > 0.0 and math.isfinite(budget)):
         raise ValueError(f"budget must be positive and finite, got {budget}")
@@ -163,8 +192,9 @@ def log_utility(snrs, budget=1.0):
             raise ValueError(f"SNRs must be nonnegative and finite, got {w}")
         if w > 0.0:
             noises.append(1.0 / w)
+    noises.sort()
+    while noises and noises[-1] == math.inf:
+        noises.pop()
     if not noises:
         return 0.0
-    noises.sort()
-    level, k = _scan(noises, budget)
-    return sum(math.log(level / x) for x in noises[:k])
+    return _scan(noises, budget)[2]

@@ -4,6 +4,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wfalloc.allocation import (
     Allocation,
@@ -55,7 +57,7 @@ def test_allocation_rejects_overlap():
 
 def test_greedy_diagonal_split():
     W = WeightMatrix([[10.0, 1.0], [1.0, 10.0]])
-    alloc = online_greedy(W.rows(), 2)
+    alloc = online_greedy(W)
     assert alloc.parts == (frozenset({0}), frozenset({1}))
     assert system_utility(alloc, W) == pytest.approx(2 * math.log(11.0), abs=1e-12)
 
@@ -64,13 +66,13 @@ def test_greedy_shares_the_strong_station():
     # second user's marginal at the loaded station, 2log6 - log11 ~ 1.185624,
     # still beats log2 at the empty one
     W = WeightMatrix([[10.0, 1.0], [10.0, 1.0]])
-    alloc = online_greedy(W.rows(), 2)
+    alloc = online_greedy(W)
     assert alloc.parts == (frozenset({0, 1}), frozenset())
     assert system_utility(alloc, W) == pytest.approx(2 * math.log(6.0), abs=1e-12)
 
 
 def test_greedy_tie_breaks_to_lowest_index():
-    alloc = online_greedy([[5.0, 5.0, 5.0]], 3)
+    alloc = online_greedy(WeightMatrix([[5.0, 5.0, 5.0]]))
     assert alloc.parts == (frozenset({0}), frozenset(), frozenset())
 
 
@@ -78,17 +80,15 @@ def test_greedy_modes_can_differ():
     # marginal gain sends user 1 to the fresh station, absolute value keeps
     # piling onto the loaded one
     W = WeightMatrix([[10.0, 1.0], [3.0, 2.0]])
-    marginal = online_greedy(W.rows(), 2, "marginal_gain")
-    absolute = online_greedy(W.rows(), 2, "absolute_value")
+    marginal = online_greedy(W, "marginal_gain")
+    absolute = online_greedy(W, "absolute_value")
     assert marginal.parts == (frozenset({0}), frozenset({1}))
     assert absolute.parts == (frozenset({0, 1}), frozenset())
 
 
 def test_greedy_width_and_mode_errors():
-    with pytest.raises(ValueError, match="SNR entries"):
-        online_greedy([[1.0, 2.0, 3.0]], 2)
     with pytest.raises(ValueError, match="mode"):
-        online_greedy([[1.0]], 1, "steepest")
+        online_greedy(WeightMatrix([[1.0]]), "steepest")
 
 
 def test_greedy_matches_reference_and_is_deterministic():
@@ -96,8 +96,8 @@ def test_greedy_matches_reference_and_is_deterministic():
     for _ in range(25):
         W = random_matrix(rng)
         for mode in ("marginal_gain", "absolute_value"):
-            alloc = online_greedy(W.rows(), W.m, mode)
-            again = online_greedy(W.rows(), W.m, mode)
+            alloc = online_greedy(W, mode)
+            again = online_greedy(W, mode)
             assert alloc == again
             assert alloc.parts == greedy_by_hand(W, mode)
 
@@ -108,7 +108,7 @@ def test_greedy_argmax_is_log_base_invariant():
     rng = np.random.default_rng(91)
     for _ in range(15):
         W = random_matrix(rng, n=6, m=3)
-        base = online_greedy(W.rows(), W.m).parts
+        base = online_greedy(W).parts
         for scale in (1.0 / math.log(2.0), 0.01, 7.5):
             assert greedy_by_hand(W, "marginal_gain", scale=scale) == base
 
@@ -117,13 +117,32 @@ def test_greedy_prefix_property_keeps_partition_invariant():
     # the state after k arrivals is the allocation of the first k rows
     rng = np.random.default_rng(92)
     W = random_matrix(rng, n=7, m=3)
-    full = online_greedy(W.rows(), W.m)
+    full = online_greedy(W)
     for k in range(W.n + 1):
-        alloc = online_greedy(W.weights[:k], W.m)
-        assert alloc.user_ids == frozenset(range(k))
-        assert sum(len(p) for p in alloc.parts) == k
-        if k == W.n:
-            assert alloc == full
+        alloc = online_greedy(WeightMatrix(W.weights[:k]))
+        assert alloc.parts == tuple(p & frozenset(range(k)) for p in full.parts)
+
+
+@st.composite
+def tie_heavy_matrices(draw):
+    """Small integer SNRs, with some columns zeroed and some copied."""
+    n, m = draw(st.integers(0, 7)), draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=m, max_size=m),
+                         min_size=n, max_size=n))
+    columns = [list(c) for c in zip(*rows)] if n else [[] for _ in range(m)]
+    for j in range(m):
+        edit = draw(st.sampled_from(("keep", "zero", "copy")))
+        if edit == "zero":
+            columns[j] = [0] * n
+        elif edit == "copy":
+            columns[j] = list(columns[draw(st.integers(0, m - 1))])
+    return WeightMatrix(np.array(columns, dtype=float).T.reshape(n, m))
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(tie_heavy_matrices(), st.sampled_from(("marginal_gain", "absolute_value")))
+def test_greedy_matches_reference_on_ties(W, mode):
+    assert online_greedy(W, mode).parts == greedy_by_hand(W, mode)
 
 
 # --- max weight -----------------------------------------------------------
@@ -263,6 +282,28 @@ def test_ratio_report_examples():
     assert report.ratio == pytest.approx(1.0, abs=1e-12)
     zero = competitive_ratio(WeightMatrix(np.zeros((2, 2))), "greedy", "brute_force_optimum")
     assert zero.ratio == 1.0 and zero.online_utility == 0.0
+
+
+def test_ratio_of_noises_that_overflow_is_finite():
+    # 1 / 1e-310 overflows: no user can be funded, so both sides are exactly 0
+    report = competitive_ratio(WeightMatrix([[1e-310, 0.0], [1e-310, 1e-310]]), "greedy")
+    assert (report.online_utility, report.offline_reference, report.ratio) == (0.0, 0.0, 1.0)
+
+
+def test_bruteforce_optimum_with_overflowing_noise_sum():
+    # both users at station 0 sum the noises 1e308 + 1e308; the optimum sends user 0
+    # to station 1 for log 6
+    W = WeightMatrix([[1e-308, 5.0], [1e-308, 1e-308]])
+    _, value = offline_bruteforce(W)
+    assert value == pytest.approx(math.log(6.0), rel=1e-15)
+    assert value == naive_best_allocation(W)[1]
+
+
+def test_greedy_utility_with_overflowing_noise_sum_stays_below_the_bound():
+    W = WeightMatrix(np.full((3, 2), 1e-308))
+    utility = system_utility(online_greedy(W), W)
+    assert math.isfinite(utility)
+    assert 0.0 <= utility <= offline_upper_bound(W)
 
 
 def test_ratio_value_conventions():

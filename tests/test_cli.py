@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from wfalloc.allocation import WeightMatrix
 from wfalloc.cli import main
 from wfalloc.experiments import RECORD_HEADER
 from wfalloc.profiles import ProfileSpec, generate, write_weights_csv
@@ -30,6 +31,14 @@ def test_waterfill_from_snrs_excludes_zero(capsys):
     code, out, _ = run_cli(capsys, "waterfill", "--snrs", "5,0", "--power", "1")
     assert code == 0
     assert "power 1: 0" in out
+    assert f"rate_nats: {math.log(6.0):.12g}" in out
+
+
+def test_waterfill_from_snrs_drops_infinite_noise(capsys):
+    code, out, _ = run_cli(capsys, "waterfill", "--snrs", "1e-310,5")
+    assert code == 0
+    assert "active_set: 1\n" in out
+    assert "power 0: 0\n" in out
     assert f"rate_nats: {math.log(6.0):.12g}" in out
 
 
@@ -145,7 +154,8 @@ def test_simulate_rejects_both_sources(capsys, tmp_path):
     write_weights_csv(generate(ProfileSpec("iid_unit", 3, 2, 8)), path)
     rejected = [(command, flags) for command in ("simulate", "ratio-experiment")
                 for flags in (["--profile", "iid-unit"], ["--users", "99"], ["--basestations", "2"])]
-    rejected += [("ratio-experiment", ["--trials", "1"]),
+    rejected += [("simulate", ["--seed", "3"]),
+                 ("ratio-experiment", ["--trials", "1"]),
                  ("ratio-experiment", ["--users", "99", "--trials", "5"])]
     for command, flags in rejected:
         code, out, err = run_cli(capsys, command, "--input", str(path), *flags)
@@ -199,9 +209,19 @@ def test_ratio_experiment_replay(capsys, tmp_path):
     path = tmp_path / "w.csv"
     write_weights_csv(generate(ProfileSpec("iid_unit", 4, 2, 8)), path)
     code, out, _ = run_cli(capsys, "ratio-experiment", "--input", str(path),
-                           "--reference", "brute-force")
+                           "--reference", "brute-force", "--seed", "7")
     assert code == 0
     assert ",replay,greedy," in out.splitlines()[1]
+    assert out.splitlines()[1].endswith(",7")  # the seed is recorded, so it may go with --input
+
+
+def test_ratio_experiment_replay_with_overflowing_noises(capsys, tmp_path):
+    path = tmp_path / "w.csv"
+    write_weights_csv(WeightMatrix([[1e-310, 0.0], [1e-310, 1e-310]]), path)
+    code, out, _ = run_cli(capsys, "ratio-experiment", "--input", str(path),
+                           "--reference", "brute-force")
+    assert code == 0
+    assert out.splitlines()[1] == "0,2,2,replay,greedy,0,0,brute_force_optimum,1,0"
 
 
 def test_ratio_experiment_missing_input_file(capsys, tmp_path):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wfalloc.waterfill import (
     NoiseProfile,
@@ -207,9 +209,64 @@ def test_log_utility_errors():
 
 
 def test_log_utility_matches_waterfill_on_reciprocal_noises():
+    # one kernel behind both, so the rates agree exactly, ties and zero SNRs included
     rng = np.random.default_rng(707)
     for _ in range(60):
-        snrs = rng.uniform(0.1, 20.0, int(rng.integers(1, 6)))
+        size = int(rng.integers(1, 6))
+        snrs = np.where(rng.random(size) < 0.5, rng.uniform(0.1, 20.0, size),
+                        rng.choice([0.0, 2.0, 5.0], size))
         direct = log_utility(snrs, 1.0)
-        via_profile = waterfill(NoiseProfile([1.0 / s for s in snrs], 1.0)).rate
-        assert direct == pytest.approx(via_profile, rel=1e-12)
+        via_profile = waterfill(NoiseProfile([1.0 / s for s in snrs if s > 0.0], 1.0)).rate
+        assert direct == via_profile
+
+
+# --- float edges ----------------------------------------------------------
+
+def test_log_utility_drops_snr_with_infinite_noise():
+    # 1 / 1e-310 overflows: such a receiver can never be funded
+    assert log_utility([1e-310]) == 0.0
+    assert log_utility([1e-310, 5.0]) == log_utility([5.0])
+
+
+def test_log_utility_sum_overflow_is_rescaled():
+    # the noises 1e308 + 1e308 overflow; the quiet receiver alone is funded
+    assert log_utility([1e-308, 1e-308, 5.0]) == pytest.approx(math.log(6.0), rel=1e-15)
+
+
+def test_waterfill_sum_overflow_is_rescaled():
+    sol = waterfill(NoiseProfile([1e308, 1e308], 1.0))
+    assert sol.water_level == 1e308
+    assert all(math.isfinite(p) for p in sol.powers.values())
+    assert sol.rate == 0.0  # a budget of 1 is below the resolution of 1e308
+    sol = waterfill(NoiseProfile([0.9e308, 0.9e308], 0.5e308))
+    assert sol.water_level == pytest.approx(1.15e308, rel=1e-15)
+    assert sol.powers == {0: pytest.approx(0.25e308), 1: pytest.approx(0.25e308)}
+    assert sol.rate == pytest.approx(2 * math.log(1.15 / 0.9), rel=1e-12)
+
+
+def test_subnormal_noise_rate_is_finite():
+    # level / noise overflows, log(level) - log(noise) does not
+    assert waterfill(NoiseProfile([5e-324], 1.0)).rate == pytest.approx(-math.log(5e-324))
+
+
+def test_unrepresentable_water_level_is_rejected():
+    with pytest.raises(ValueError, match="water level overflows"):
+        NoiseProfile([1e308, 1.7e308], 1e308)
+    with pytest.raises(ValueError, match="water level overflows"):
+        log_utility([1e-308], 1e308)
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(st.lists(st.floats(5e-324, 1.7e308), min_size=1, max_size=8), st.floats(0.0, 1.7e308))
+def test_kernel_stays_finite_across_the_float_range(noises, budget):
+    if budget + min(noises) == math.inf:
+        with pytest.raises(ValueError, match="water level overflows"):
+            NoiseProfile(noises, budget)
+        return
+    sol = waterfill(NoiseProfile(noises, budget))
+    assert math.isfinite(sol.rate) and sol.rate >= 0.0
+    assert all(math.isfinite(p) and p >= 0.0 for p in sol.powers.values())
+    if budget > 0.0:
+        # each power carries the rounding of a level summed over at most n + 1 terms
+        slack = 4 * (len(noises) + 1) ** 2 * math.ulp(sol.water_level)
+        assert abs(sum(sol.powers.values()) - budget) <= slack
