@@ -9,11 +9,12 @@ user subsets, desk scale only) or from an analytic upper bound.
 """
 
 import math
+from bisect import insort
 from dataclasses import dataclass
 
 import numpy as np
 
-from .waterfill import log_utility
+from .waterfill import _scan, log_utility
 
 __all__ = [
     "BRUTE_FORCE_CAP",
@@ -121,26 +122,63 @@ def online_greedy(W, mode="marginal_gain"):
     L(M_j + i) - L(M_j); in ``absolute_value`` mode it is L(M_j + i)
     itself. Ties go to the lowest station index. User i's assignment reads
     only rows 0..i.
+
+    A receiver with SNR w is a channel with noise N = 1/w, infinite for
+    w = 0 or a 1/w that overflows. Each station holds its users' finite
+    noises in ascending order, its utility, and a cutoff just above its
+    water level, so a score never re-validates, re-inverts or re-sorts
+    them. Adding a channel only lowers the level and pushes the noisiest
+    funded channels below water: the ordering chain ``lemmas`` checks.
+
+    * A user with N at or above the level gets no power, so its gain is
+      exactly 0 and L(M_j + i) = L(M_j): it is scored without a solve. The
+      solver's rounded sums could still fund a noise within a few ulps of
+      the level, so this shortcut starts at the cutoff, level * (1 + (n+2)^2
+      2^-50) for n noises held. Past it, every position of the scan at or
+      after N fails by more than the rounding of its level, and the
+      positions before N are unchanged, so the solve would return the same
+      level, count and rate bit for bit. An infinite N is dropped, as
+      ``log_utility`` drops it.
+    * Any other user is solved once by ``_scan`` with the station's noises.
+      A channel pushed below water stays dry in exact arithmetic, but it
+      is kept: a rounded level can sit above a dry noise, and a later user
+      can fund it again, where a station that had dropped it would score
+      differently from ``log_utility``.
     """
     if mode not in GREEDY_MODES:
         raise ValueError(f"unknown greedy mode {mode!r}; expected one of {GREEDY_MODES}")
-    marginal = mode == "marginal_gain"
     parts = [[] for _ in range(W.m)]
-    snrs = [[] for _ in range(W.m)]
+    for user, (j, _) in enumerate(_greedy_arrivals(W, mode == "marginal_gain")):
+        parts[j].append(user)
+    return Allocation(tuple(parts))
+
+
+def _greedy_arrivals(W, marginal):
+    """Yield, per arrival, the station it joins and every station's
+    utility after it joins (one list, updated in place)."""
+    noises = [[] for _ in range(W.m)]
+    cutoffs = [math.inf] * W.m
     utils = [0.0] * W.m
-    for user, row in enumerate(W.weights.tolist()):
-        best_j = 0
-        best_score = -math.inf
-        best_value = 0.0
+    for row in W.weights.tolist():
+        best_j, best_score, best_value, best_state = 0, -math.inf, 0.0, None
         for j, w in enumerate(row):
-            value = log_utility(snrs[j] + [w])
+            noise = 1.0 / w if w else math.inf
+            if noise >= cutoffs[j]:
+                value, state = utils[j], None
+            else:
+                cand = noises[j].copy()
+                insort(cand, noise)
+                level, _, value = _scan(cand, 1.0)
+                state = cand, level
             score = value - utils[j] if marginal else value
             if score > best_score:
-                best_j, best_score, best_value = j, score, value
-        parts[best_j].append(user)
-        snrs[best_j].append(row[best_j])
+                best_j, best_score, best_value, best_state = j, score, value, state
+        if best_state is not None:
+            cand, level = best_state
+            noises[best_j] = cand
+            cutoffs[best_j] = level * (1.0 + (len(cand) + 2) ** 2 * 2.0 ** -50)
         utils[best_j] = best_value
-    return Allocation(tuple(parts))
+        yield best_j, utils
 
 
 def max_weight(W):

@@ -47,7 +47,8 @@ class NoiseProfile:
         if not (math.isfinite(self.budget) and self.budget >= 0.0):
             raise ValueError(f"power budget must be finite and nonnegative, got {budget}")
         if self.noises:
-            _check_level(self.budget, min(self.noises))
+            # every subset's level is at most budget + its noisiest channel
+            _check_level(self.budget, max(self.noises))
         self.ids = tuple(range(len(self.noises))) if ids is None else tuple(ids)
         if len(self.ids) != len(self.noises):
             raise ValueError("need exactly one channel id per noise variance")
@@ -98,10 +99,10 @@ class WaterfillSolution:
     rate: float
 
 
-def _check_level(budget, quietest):
-    """Raise ValueError when no water level is representable: it can reach budget + quietest."""
-    if budget + quietest == math.inf:
-        raise ValueError(f"water level overflows: budget {budget} plus noise {quietest}")
+def _check_level(budget, noise):
+    """Raise ValueError when budget + noise, the level of that channel funded alone, overflows."""
+    if budget + noise == math.inf:
+        raise ValueError(f"water level overflows: budget {budget} plus noise {noise}")
 
 
 _SHRINK = 2.0 ** -64  # exact power-of-two scale for sums that overflow
@@ -163,7 +164,8 @@ def waterfill(profile):
     powers = {c: 0.0 for c in ids}
     for t in order[:k]:
         powers[ids[t]] = level - profile.noises[t]
-    return WaterfillSolution(level, powers, frozenset(ids[t] for t in order[:k]), rate)
+    # a budget below the resolution of the quietest noise funds it with power 0
+    return WaterfillSolution(level, powers, frozenset(c for c, p in powers.items() if p > 0.0), rate)
 
 
 def rate_of_subset(profile, channels):

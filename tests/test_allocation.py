@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wfalloc import allocation
 from wfalloc.allocation import (
+    GREEDY_MODES,
     Allocation,
     InstanceTooLargeError,
     RatioReport,
@@ -24,7 +26,7 @@ from wfalloc.allocation import (
 )
 from wfalloc.profiles import ProfileSpec, generate
 from wfalloc.submodular import SetFunctionOracle, check_monotone, check_submodular_pairwise
-from wfalloc.waterfill import log_utility
+from wfalloc.waterfill import NoiseProfile, log_utility, water_level, waterfill
 
 from oracles import greedy_by_hand, naive_best_allocation
 
@@ -114,13 +116,82 @@ def test_greedy_argmax_is_log_base_invariant():
 
 
 def test_greedy_prefix_property_keeps_partition_invariant():
-    # the state after k arrivals is the allocation of the first k rows
+    # the state after k arrivals is the allocation of the first k rows, and
+    # the utility each station holds is log_utility of its part
     rng = np.random.default_rng(92)
-    W = random_matrix(rng, n=7, m=3)
-    full = online_greedy(W)
-    for k in range(W.n + 1):
-        alloc = online_greedy(WeightMatrix(W.weights[:k]))
-        assert alloc.parts == tuple(p & frozenset(range(k)) for p in full.parts)
+    sparse = rng.uniform(0.0, 10.0, (12, 3))
+    sparse[rng.random(sparse.shape) < 0.4] = 0.0
+    for W in (random_matrix(rng, n=7, m=3), WeightMatrix(sparse)):
+        full = online_greedy(W)
+        for k in range(W.n + 1):
+            alloc = online_greedy(WeightMatrix(W.weights[:k]))
+            assert alloc.parts == tuple(p & frozenset(range(k)) for p in full.parts)
+        for mode in GREEDY_MODES:
+            parts = [[] for _ in range(W.m)]
+            for user, (j, utils) in enumerate(allocation._greedy_arrivals(W, mode == "marginal_gain")):
+                parts[j].append(user)
+                assert utils == [log_utility([W.weights[u, i] for u in part])
+                                 for i, part in enumerate(parts)]
+            assert tuple(frozenset(p) for p in parts) == online_greedy(W, mode).parts
+
+
+def test_greedy_rejects_users_above_water_without_a_solve(monkeypatch):
+    # one strong user per station, each stronger than the last so that both
+    # modes open a new station for it, then users whose noise 1/0.5 = 2 sits
+    # above every level 1 + 10^-j: only the strong users are solved
+    m = 4
+    W = WeightMatrix(np.vstack([np.diag(10.0 ** np.arange(1, m + 1)), np.full((50, m), 0.5)]))
+    calls = []
+    scan = allocation._scan
+    monkeypatch.setattr(allocation, "_scan", lambda *args: calls.append(args) or scan(*args))
+    for mode in GREEDY_MODES:
+        calls.clear()
+        alloc = online_greedy(W, mode)
+        assert len(calls) == m
+        assert alloc.parts == greedy_by_hand(W, mode)
+
+
+def test_greedy_solves_a_user_at_the_water_level():
+    # station 1 holds SNRs 3, 3 at level 5/6, the noise of SNR 1.2000000000000002;
+    # the exact gain is 0 but the solver's rounded sums fund the user, as
+    # log_utility does, so the user joins station 1 and not station 0
+    W = WeightMatrix([[0.0, 3.0], [0.0, 3.0], [0.0, 1.2000000000000002]])
+    assert 1.0 / 1.2000000000000002 == water_level(NoiseProfile([1 / 3.0, 1 / 3.0], 1.0))
+    assert log_utility([3.0, 3.0, 1.2000000000000002]) > log_utility([3.0, 3.0])
+    assert online_greedy(W).parts == greedy_by_hand(W) == (frozenset(), frozenset({0, 1, 2}))
+
+
+def test_greedy_keeps_a_dry_channel_that_rounding_funds_again():
+    # station 0's second user is dry at level 1.4651753435357528 although its
+    # noise 1.4651753435357526 is below it (the two-channel level rounds down
+    # onto that noise); a third user with the same noise funds all three, so
+    # the station must keep its dry noise to score users 3..5 as log_utility does
+    quiet, weak = 2.1497270091727056, 0.6825121678520782
+    assert waterfill(NoiseProfile([1 / quiet, 1 / weak], 1.0)).active_set == {0}
+    assert waterfill(NoiseProfile([1 / quiet, 1 / weak, 1 / weak], 1.0)).active_set == {0, 1, 2}
+    W = WeightMatrix([[3.972497491730009, 4.248709029550589], [quiet, 0.8094769600734326],
+                      [weak, 0.8094769600734327], [weak, 0.8094769600734335],
+                      [0.6825121678520785, 0.8094769600734327], [0.6825121678520781, 0.6805699033497487]])
+    assert online_greedy(W).parts == greedy_by_hand(W) == (frozenset({1, 2, 3, 5}), frozenset({0, 4}))
+
+
+def test_greedy_matches_reference_next_to_the_water_level():
+    # each planted SNR puts a user's noise within 3 ulps of a station's level
+    rng = np.random.default_rng(93)
+    for trial in range(150):
+        mode = GREEDY_MODES[trial % 2]
+        m = int(rng.integers(2, 4))
+        rows = np.zeros((0, m))
+        for _ in range(int(rng.integers(2, 10))):
+            row = rng.integers(0, 4, m).astype(float) if trial % 3 else rng.uniform(0.0, 5.0, m)
+            for j, part in enumerate(greedy_by_hand(WeightMatrix(rows), mode)):
+                noises = [1.0 / rows[u, j] for u in part if rows[u, j] > 0.0]
+                if noises and rng.random() < 0.7:
+                    level = water_level(NoiseProfile(noises, 1.0))
+                    row[j] = 1.0 / level * (1.0 + int(rng.integers(-3, 4)) * 2.0 ** -52)
+            rows = np.vstack([rows, row])
+        W = WeightMatrix(rows)
+        assert online_greedy(W, mode).parts == greedy_by_hand(W, mode)
 
 
 @st.composite
@@ -143,6 +214,40 @@ def tie_heavy_matrices(draw):
 @given(tie_heavy_matrices(), st.sampled_from(("marginal_gain", "absolute_value")))
 def test_greedy_matches_reference_on_ties(W, mode):
     assert online_greedy(W, mode).parts == greedy_by_hand(W, mode)
+
+
+# 5e-324 and 1e-310 are subnormal SNRs whose noise 1/w overflows; 1e-308
+# alone lands in the scan's fallback branch (1 + 1e308 rounds to 1e308);
+# 1e300 and 1e308 give tiny and subnormal noises
+FLOAT_EDGE_SNRS = (0.0, 5e-324, 1e-310, 1e-308, 1e-300, 1e300, 1e308, 1.7e308, 0.5, 1.0, 3.0)
+
+
+@st.composite
+def float_edge_matrices(draw):
+    """SNRs at the float edges, with some columns zeroed."""
+    n, m = draw(st.integers(0, 7)), draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(st.sampled_from(FLOAT_EDGE_SNRS), min_size=m, max_size=m),
+                         min_size=n, max_size=n))
+    arr = np.array(rows, dtype=float).reshape(n, m)
+    for j in range(m):
+        if draw(st.booleans()) and draw(st.booleans()):
+            arr[:, j] = 0.0
+    return WeightMatrix(arr)
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(float_edge_matrices(), st.sampled_from(GREEDY_MODES))
+def test_greedy_matches_reference_on_float_edges(W, mode):
+    assert online_greedy(W, mode).parts == greedy_by_hand(W, mode)
+
+
+def test_greedy_fallback_station_matches_reference():
+    # station 0's first user has noise 1e308: funded with power 0, rate 0
+    assert log_utility([1e-308]) == 0.0
+    W = WeightMatrix([[1e-308, 0.0], [1e-308, 1e-308], [5.0, 1e-308], [1e-308, 1e-310],
+                      [1e300, 1e-308], [0.0, 0.0], [1e-308, 2.0]])
+    for mode in GREEDY_MODES:
+        assert online_greedy(W, mode).parts == greedy_by_hand(W, mode)
 
 
 # --- max weight -----------------------------------------------------------

@@ -64,6 +64,13 @@ def test_waterfill_rejects_non_finite_snrs(capsys):
         assert "SNRs must be finite" in err
 
 
+def test_waterfill_rejects_a_profile_with_an_unsolvable_subset(capsys):
+    code, out, err = run_cli(capsys, "waterfill", "--noises", "1,1e308", "--power", "1e308")
+    assert code == 2
+    assert out == ""
+    assert "water level overflows" in err
+
+
 def test_waterfill_bad_noise_string(capsys):
     code, _, err = run_cli(capsys, "waterfill", "--noises", "1.0,abc")
     assert code == 2

@@ -256,16 +256,37 @@ def test_unrepresentable_water_level_is_rejected():
         log_utility([1e-308], 1e308)
 
 
+def test_profile_rejects_a_subset_whose_level_overflows():
+    # the full set solves (the quiet channel alone is funded), but the subset
+    # {1} would need the level 1e308 + 1e308
+    with pytest.raises(ValueError, match="water level overflows"):
+        NoiseProfile([1.0, 1e308], 1e308)
+    p = NoiseProfile([1.0, 0.7e308], 1e308)
+    for channels in ({0}, {1}, {0, 1}):
+        assert math.isfinite(rate_of_subset(p, channels))
+
+
+def test_active_set_holds_only_powered_channels():
+    # a budget of 1 is below the resolution of 1e308: the scan funds one
+    # channel with power 0, which is not active
+    sol = waterfill(NoiseProfile([1e308, 1e308], 1.0))
+    assert sol.powers == {0: 0.0, 1: 0.0}
+    assert sol.active_set == frozenset()
+    sol = waterfill(NoiseProfile([1.0, 1e308], 1.0))
+    assert sol.active_set == {0} and sol.powers[0] > 0.0
+
+
 @settings(derandomize=True, database=None, max_examples=300)
 @given(st.lists(st.floats(5e-324, 1.7e308), min_size=1, max_size=8), st.floats(0.0, 1.7e308))
 def test_kernel_stays_finite_across_the_float_range(noises, budget):
-    if budget + min(noises) == math.inf:
+    if budget + max(noises) == math.inf:
         with pytest.raises(ValueError, match="water level overflows"):
             NoiseProfile(noises, budget)
         return
     sol = waterfill(NoiseProfile(noises, budget))
     assert math.isfinite(sol.rate) and sol.rate >= 0.0
     assert all(math.isfinite(p) and p >= 0.0 for p in sol.powers.values())
+    assert sol.active_set == {c for c, p in sol.powers.items() if p > 0.0}
     if budget > 0.0:
         # each power carries the rounding of a level summed over at most n + 1 terms
         slack = 4 * (len(noises) + 1) ** 2 * math.ulp(sol.water_level)
