@@ -23,7 +23,7 @@ from .submodular import (
     check_submodular_pairwise,
     violations_to_csv,
 )
-from .waterfill import NoiseProfile, log_utility, waterfill
+from .waterfill import NoiseProfile, rate_of_subset, waterfill
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -67,16 +67,27 @@ def _input_column(args):
     return [float(x) for x in W.weights[:, args.basestation - 1]]
 
 
+def _source(args, *flags):
+    """The one of ``flags`` given on the command line; ValueError unless exactly one is."""
+    given = [flag for flag in flags if getattr(args, flag) is not None]
+    if len(given) > 1:
+        raise ValueError(f"use either --{given[0]} or --{given[1]}, not both")
+    if not given:
+        raise ValueError(f"one of {', '.join('--' + flag for flag in flags)} is required")
+    return given[0]
+
+
 def _cmd_waterfill(args):
-    if args.input is not None or args.snrs is not None:
-        snrs = _input_column(args) if args.input is not None else _parse_reals(args.snrs, "--snrs")
-        profile = _snrs_to_profile(snrs, args.power)
-        total = len(snrs)
-    elif args.noises is not None:
+    source = _source(args, "noises", "snrs", "input")
+    if source != "input":  # --basestation picks a column of --input
+        _source(args, source, "basestation")
+    if source == "noises":
         profile = NoiseProfile(_parse_reals(args.noises, "--noises"), args.power)
         total = len(profile)
     else:
-        raise ValueError("one of --noises, --snrs, --input is required")
+        snrs = _input_column(args) if source == "input" else _parse_reals(args.snrs, "--snrs")
+        profile = _snrs_to_profile(snrs, args.power)
+        total = len(snrs)
     sol = waterfill(profile)
     print(f"channels: {total}")
     print(f"budget: {_fmt(profile.budget)}")
@@ -89,16 +100,14 @@ def _cmd_waterfill(args):
 
 
 def _cmd_check_submodular(args):
-    if args.snrs is not None:
+    if _source(args, "noises", "snrs") == "snrs":
         snrs = _parse_reals(args.snrs, "--snrs")
-        ground = frozenset(range(len(snrs)))
-        oracle = SetFunctionOracle(
-            ground, lambda s: log_utility([snrs[u] for u in sorted(s)], args.power))
-    elif args.noises is not None:
-        profile = NoiseProfile(_parse_reals(args.noises, "--noises"), args.power)
-        oracle = rate_oracle(profile)
+        profile = _snrs_to_profile(snrs, args.power)
+        # every SNR stays in the ground set; an unfunded one adds no rate to any subset
+        oracle = SetFunctionOracle(frozenset(range(len(snrs))),
+                                   lambda s: rate_of_subset(profile, s.intersection(profile.ids)))
     else:
-        raise ValueError("one of --noises, --snrs is required")
+        oracle = rate_oracle(NoiseProfile(_parse_reals(args.noises, "--noises"), args.power))
     u = len(oracle.ground_set)
     print(f"ground_set: {u} elements, tolerance {args.tolerance:g}")
     pairwise = check_submodular_pairwise(oracle, tolerance=args.tolerance)
@@ -122,8 +131,7 @@ def _replaying(args, *replay_excluded):
     """Whether the instance comes from --input rather than from --profile."""
     if args.input is not None:
         for flag in ("profile", "users", "basestations", *replay_excluded):
-            if getattr(args, flag) is not None:
-                raise ValueError(f"use either --input or --{flag}, not both")
+            _source(args, "input", flag)
         return True
     if args.profile is None or args.users is None or args.basestations is None:
         raise ValueError("need --input, or --profile with --users and --basestations")

@@ -127,10 +127,7 @@ def lemma_witness(profile, base, i, j):
         raise ValueError("i and j must be distinct channels")
     if i in base or j in base:
         raise ValueError("i and j must lie outside the base set")
-    known = set(profile.ids)
-    missing = (set(base) | {i, j}) - known
-    if missing:
-        raise ValueError(f"unknown channel ids: {sorted(missing, key=repr)}")
+    sol_ij = waterfill(profile.subset(base | {i, j}))  # raises on unknown channel ids
     if profile.budget <= 0.0:
         raise ValueError("zero budget: the witness needs a positive power budget")
     if not base:
@@ -139,7 +136,6 @@ def lemma_witness(profile, base, i, j):
     sol = waterfill(profile.subset(base))
     sol_i = waterfill(profile.subset(base | {i}))
     sol_j = waterfill(profile.subset(base | {j}))
-    sol_ij = waterfill(profile.subset(base | {i, j}))
 
     monotone = (
         _leq(sol.rate, sol_i.rate)
@@ -149,79 +145,70 @@ def lemma_witness(profile, base, i, j):
     )
     submod = _leq(sol.rate + sol_ij.rate, sol_i.rate + sol_j.rate)
 
-    if i not in sol_ij.active_set or j not in sol_ij.active_set:
-        if i not in sol_ij.active_set:
-            case = EASY_I_INACTIVE
-            equal = sol_ij.rate == sol_j.rate
-        else:
-            case = EASY_J_INACTIVE
-            equal = sol_ij.rate == sol_i.rate
-        return LemmaWitness(
-            profile=profile, base=base, elem_i=i, elem_j=j, swapped=False, case=case,
-            level=sol.water_level, level_i=sol_i.water_level,
-            level_j=sol_j.water_level, level_ij=sol_ij.water_level,
-            rate=sol.rate, rate_i=sol_i.rate, rate_j=sol_j.rate, rate_ij=sol_ij.rate,
-            active=sol.active_set, active_i=sol_i.active_set,
-            active_j=sol_j.active_set, active_ij=sol_ij.active_set,
-            monotone_chain_holds=monotone, submodular_holds=submod,
-            easy_rates_equal=equal,
+    swapped = False
+    if i not in sol_ij.active_set:
+        case, extra = EASY_I_INACTIVE, {"easy_rates_equal": sol_ij.rate == sol_j.rate}
+    elif j not in sol_ij.active_set:
+        case, extra = EASY_J_INACTIVE, {"easy_rates_equal": sol_ij.rate == sol_i.rate}
+    else:
+        swapped = sol_i.water_level > sol_j.water_level
+        if swapped:
+            i, j = j, i
+            sol_i, sol_j = sol_j, sol_i
+        noise = profile.noise_of
+        act, act_i, act_j, act_ij = (sol.active_set, sol_i.active_set,
+                                     sol_j.active_set, sol_ij.active_set)
+        others_ij = act_ij - {i, j}
+        others_i = act_i - {i}
+        others_j = act_j - {j}
+        displaced_i = others_i - others_ij
+        displaced = act - others_j
+
+        decomposition = (
+            i in act_i and j in act_j
+            and others_ij <= others_i
+            and others_j <= act
         )
 
-    swapped = sol_i.water_level > sol_j.water_level
-    if swapped:
-        i, j = j, i
-        sol_i, sol_j = sol_j, sol_i
+        lv, lv_i, lv_j, lv_ij = (sol.water_level, sol_i.water_level,
+                                 sol_j.water_level, sol_ij.water_level)
+        ordering = (
+            _leq(lv_ij, lv_i) and _leq(lv_i, lv_j) and _leq(lv_j, lv)
+            and all(_leq(lv_ij, noise(c)) and _leq(noise(c), lv_i) for c in displaced_i)
+            and all(_leq(lv_j, noise(c)) and _leq(noise(c), lv) for c in displaced)
+        )
 
-    act, act_i, act_j, act_ij = (sol.active_set, sol_i.active_set,
-                                 sol_j.active_set, sol_ij.active_set)
-    others_ij = act_ij - {i, j}
-    others_i = act_i - {i}
-    others_j = act_j - {j}
-    displaced_i = others_i - others_ij
-    displaced = act - others_j
+        lost_noises = sorted(noise(c) for c in displaced)
+        lost_noises_i = sorted(noise(c) for c in displaced_i)
+        lhs_sum = len(act_i) * lv_i + len(act_j) * lv_j + sum(lost_noises)
+        rhs_sum = len(act) * lv + len(act_ij) * lv_ij + sum(lost_noises_i)
+        sum_ok = _close(lhs_sum, rhs_sum)
+        count_ok = (len(act_i) + len(act_j) + len(displaced)
+                    == len(act) + len(act_ij) + len(displaced_i))
 
-    decomposition = (
-        i in act_i and j in act_j
-        and others_ij <= others_i
-        and others_j <= act
-    )
+        # Compare the products in log space; an absolute log tolerance is a
+        # relative tolerance on the products themselves.
+        lhs_log = (len(act_i) * math.log(lv_i) + len(act_j) * math.log(lv_j)
+                   + sum(math.log(x) for x in lost_noises))
+        rhs_log = (len(act) * math.log(lv) + len(act_ij) * math.log(lv_ij)
+                   + sum(math.log(x) for x in lost_noises_i))
+        product_ok = lhs_log >= rhs_log - _REL_TOL
 
-    noise = profile.noise_of
-    lv, lv_i, lv_j, lv_ij = (sol.water_level, sol_i.water_level,
-                             sol_j.water_level, sol_ij.water_level)
-    ordering = (
-        _leq(lv_ij, lv_i) and _leq(lv_i, lv_j) and _leq(lv_j, lv)
-        and all(_leq(lv_ij, noise(c)) and _leq(noise(c), lv_i) for c in displaced_i)
-        and all(_leq(lv_j, noise(c)) and _leq(noise(c), lv) for c in displaced)
-    )
-
-    lost_noises = sorted(noise(c) for c in displaced)
-    lost_noises_i = sorted(noise(c) for c in displaced_i)
-    lhs_sum = len(act_i) * lv_i + len(act_j) * lv_j + sum(lost_noises)
-    rhs_sum = len(act) * lv + len(act_ij) * lv_ij + sum(lost_noises_i)
-    sum_ok = _close(lhs_sum, rhs_sum)
-    count_ok = (len(act_i) + len(act_j) + len(displaced)
-                == len(act) + len(act_ij) + len(displaced_i))
-
-    # Compare the products in log space; an absolute log tolerance is a
-    # relative tolerance on the products themselves.
-    lhs_log = (len(act_i) * math.log(lv_i) + len(act_j) * math.log(lv_j)
-               + sum(math.log(x) for x in lost_noises))
-    rhs_log = (len(act) * math.log(lv) + len(act_ij) * math.log(lv_ij)
-               + sum(math.log(x) for x in lost_noises_i))
-    product_ok = lhs_log >= rhs_log - _REL_TOL
-
+        case, extra = MAIN_CASE, dict(
+            others_ij=others_ij, others_i=others_i, others_j=others_j,
+            displaced_i=displaced_i, displaced=displaced,
+            decomposition_disjoint=decomposition, ordering_holds=ordering,
+            sum_identity_holds=sum_ok, count_identity_holds=count_ok,
+            product_inequality_holds=product_ok,
+        )
     return LemmaWitness(
-        profile=profile, base=base, elem_i=i, elem_j=j, swapped=swapped, case=MAIN_CASE,
-        level=lv, level_i=lv_i, level_j=lv_j, level_ij=lv_ij,
+        profile=profile, base=base, elem_i=i, elem_j=j, swapped=swapped, case=case,
+        level=sol.water_level, level_i=sol_i.water_level,
+        level_j=sol_j.water_level, level_ij=sol_ij.water_level,
         rate=sol.rate, rate_i=sol_i.rate, rate_j=sol_j.rate, rate_ij=sol_ij.rate,
-        active=act, active_i=act_i, active_j=act_j, active_ij=act_ij,
-        monotone_chain_holds=monotone, submodular_holds=submod,
-        others_ij=others_ij, others_i=others_i, others_j=others_j,
-        displaced_i=displaced_i, displaced=displaced,
-        decomposition_disjoint=decomposition, ordering_holds=ordering,
-        sum_identity_holds=sum_ok, count_identity_holds=count_ok,
-        product_inequality_holds=product_ok,
+        active=sol.active_set, active_i=sol_i.active_set,
+        active_j=sol_j.active_set, active_ij=sol_ij.active_set,
+        monotone_chain_holds=monotone, submodular_holds=submod, **extra,
     )
 
 

@@ -171,10 +171,13 @@ def waterfill(profile):
 def rate_of_subset(profile, channels):
     """Optimal rate when only ``channels`` of the profile may be used.
 
-    This map from subsets to rates is the monotone set function the
-    submodularity checks exercise. Unknown channel ids raise ValueError.
+    The monotone set function the submodularity checks exercise, solved from
+    the profile's validated noises. Unknown channel ids raise ValueError.
     """
-    return waterfill(profile.subset(channels)).rate
+    noises = sorted(profile.noise_of(c) for c in frozenset(channels))
+    if not noises or profile.budget == 0.0:
+        return 0.0
+    return _scan(noises, profile.budget)[2]
 
 
 def log_utility(snrs, budget=1.0):

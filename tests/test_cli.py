@@ -1,9 +1,12 @@
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import wfalloc
 from wfalloc.allocation import WeightMatrix
 from wfalloc.cli import main
 from wfalloc.experiments import RECORD_HEADER
@@ -56,6 +59,24 @@ def test_waterfill_needs_a_source(capsys):
     assert "error:" in err
 
 
+def test_instance_sources_are_exclusive(capsys, tmp_path):
+    path = tmp_path / "w.csv"
+    write_weights_csv(generate(ProfileSpec("iid_ten", 4, 3, 3)), path)
+    rejected = [
+        (["waterfill", "--snrs", "1,2", "--noises", "5,6"], "--noises or --snrs"),
+        (["waterfill", "--input", str(path), "--basestation", "1", "--noises", "1"],
+         "--noises or --input"),
+        (["waterfill", "--noises", "5,6", "--basestation", "3"], "--noises or --basestation"),
+        (["waterfill", "--snrs", "5,6", "--basestation", "3"], "--snrs or --basestation"),
+        (["check-submodular", "--snrs", "1,2", "--noises", "5,6,7"], "--noises or --snrs"),
+    ]
+    for argv, flags in rejected:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: use either {flags}, not both\n"
+
+
 def test_waterfill_rejects_non_finite_snrs(capsys):
     for snrs in ("nan,5", "5,inf"):
         code, out, err = run_cli(capsys, "waterfill", "--snrs", snrs)
@@ -106,6 +127,37 @@ def test_check_submodular_snrs_and_dump(capsys, tmp_path):
                            "--output", str(dump))
     assert code == 0
     assert dump.read_text().startswith("base_set,i,j,lhs,rhs,gap")
+
+
+def test_check_submodular_snrs_exact_stdout(capsys):
+    code, out, err = run_cli(capsys, "check-submodular", "--snrs", "10,5,0")
+    assert code == 0
+    assert err == ""
+    # the zero SNR stays in the ground set, unfunded
+    assert out == (
+        "ground_set: 3 elements, tolerance 1e-09\n"
+        "pairwise: 0 violations in 6 triples\n"
+        "monotone: 0 violations\n"
+        "setpair: 0 violations\n"
+    )
+
+
+def test_check_submodular_snrs_zero_power_certifies(capsys):
+    code, out, err = run_cli(capsys, "check-submodular", "--snrs", "10,5,0", "--power", "0")
+    assert code == 0
+    assert err == ""
+    assert out.splitlines()[1:] == [
+        "pairwise: 0 violations in 6 triples",
+        "monotone: 0 violations",
+        "setpair: 0 violations",
+    ]
+
+
+def test_check_submodular_rejects_non_finite_snrs_before_checking(capsys):
+    code, out, err = run_cli(capsys, "check-submodular", "--snrs", "nan,5")
+    assert code == 2
+    assert "ground_set:" not in out
+    assert err == "error: SNRs must be finite, got nan\n"
 
 
 def test_check_submodular_too_large(capsys):
@@ -245,9 +297,13 @@ def test_unknown_flag_exits_2():
 
 
 def test_module_entry_point_runs():
+    # run the package under test, wherever pytest imported it from
+    src = str(Path(wfalloc.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
     proc = subprocess.run(
         [sys.executable, "-m", "wfalloc", "waterfill", "--noises", "1.0", "--power", "1.0"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env=env,
     )
     assert proc.returncode == 0
     assert "water_level: 2" in proc.stdout

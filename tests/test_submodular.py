@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wfalloc.lemmas import rate_oracle
 from wfalloc.submodular import (
@@ -139,6 +141,43 @@ def test_checkers_match_plain_enumeration_in_content_and_order():
                         naive_setpair_violations(ground, fn, tol)
                     assert check_monotone(oracle, tolerance=tol) == \
                         naive_monotone_violations(ground, fn, tol)
+
+
+# sums of these overflow to inf and differences of the overflows give NaN,
+# so the gaps compared against the tolerance hit every float edge
+FLOAT_EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e-300, 1.0, -1.0,
+                     1e300, -1e300, 1.7e308, -1.7e308)
+GROUNDS = (lambda size: range(size), lambda size: (3 * k + 10 for k in range(size)),
+           lambda size: "abcdefg"[:size])
+
+
+@st.composite
+def set_functions(draw):
+    """A ground set and a table of values over its subsets: random, tied or float-edge."""
+    ground = frozenset(draw(st.sampled_from(GROUNDS))(draw(st.integers(0, 5))))
+    values = draw(st.sampled_from((
+        st.floats(-10.0, 10.0),
+        st.sampled_from((0.0, 0.5, 1.0, 2.0)),
+        st.sampled_from(FLOAT_EDGE_VALUES),
+    )))
+    subsets = counting_order_subsets(ground)
+    table = dict(zip(subsets, draw(st.lists(values, min_size=len(subsets), max_size=len(subsets)))))
+    return ground, table.__getitem__
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(set_functions(), st.one_of(st.sampled_from((0.0, 1e-9, 0.5, 1e300)), st.floats(0.0, 1e308)))
+def test_checkers_match_plain_enumeration_on_drawn_set_functions(set_function, tol):
+    ground, f = set_function
+    oracle = SetFunctionOracle(ground, f)
+    pairwise = [(v.base_set, v.elem_i, v.elem_j, repr(v.lhs), repr(v.rhs), repr(v.gap))
+                for v in check_submodular_pairwise(oracle, tolerance=tol)]
+    # repr tells -0.0 from 0.0
+    assert pairwise == [(*row[:3], *map(repr, row[3:]))
+                        for row in naive_pairwise_violations(ground, f, tol)]
+    assert check_setpair_submodular(oracle, tolerance=tol) == \
+        naive_setpair_violations(ground, f, tol)
+    assert check_monotone(oracle, tolerance=tol) == naive_monotone_violations(ground, f, tol)
 
 
 @pytest.mark.parametrize("check", CHECKERS)

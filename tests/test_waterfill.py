@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from wfalloc.waterfill import (
@@ -179,6 +179,37 @@ def test_rate_of_subset_examples():
     assert rate_of_subset(p, {0}) == pytest.approx(math.log(4.0), abs=1e-12)
     with pytest.raises(ValueError, match="unknown channel"):
         rate_of_subset(p, {7})
+
+
+# 5e-324 and 1e-310 are subnormal; 1e308 and 1.7e308 leave little or no
+# headroom for the budget; repeated values tie
+FLOAT_EDGE_NOISES = (5e-324, 1e-310, 1e-300, 1e-20, 0.5, 1.0, 1.0, 2.0, 1e20, 1e300, 1e308, 1.7e308)
+FLOAT_EDGE_BUDGETS = (0.0, 1e-300, 1e-20, 1.0, 2.5, 1e300)
+
+
+@st.composite
+def float_edge_profiles(draw):
+    """Profiles with noises across the float range, ties and edge budgets."""
+    noise = st.one_of(st.sampled_from(FLOAT_EDGE_NOISES), st.floats(5e-324, 1.7e308))
+    noises = draw(st.lists(noise, max_size=6))
+    budget = draw(st.one_of(st.sampled_from(FLOAT_EDGE_BUDGETS), st.floats(0.0, 1e300)))
+    assume(not noises or budget + max(noises) < math.inf)
+    return NoiseProfile(noises, budget, ids=[f"ch{k}" for k in range(len(noises))])
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(float_edge_profiles())
+def test_rate_of_subset_is_the_rate_of_the_subset_profile(p):
+    # the sub-profile composition is the reference the direct solve must match exactly
+    for mask in range(1 << len(p)):
+        channels = [c for t, c in enumerate(p.ids) if mask >> t & 1]
+        assert rate_of_subset(p, channels) == waterfill(p.subset(channels)).rate
+
+
+def test_rate_of_subset_rejects_unknown_ids_at_any_budget():
+    for budget in (0.0, 1.0):
+        with pytest.raises(ValueError, match="unknown channel"):
+            rate_of_subset(NoiseProfile([1.0, 2.0], budget), {0, "x"})
 
 
 def test_rate_of_subset_is_monotone():
