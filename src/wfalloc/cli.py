@@ -39,12 +39,9 @@ _REFERENCE_BY_FLAG = {
 
 def _parse_reals(text, flag):
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [float(tok) for tok in text.split(",")]
     except ValueError:
         raise ValueError(f"{flag} expects comma-separated numbers, got {text!r}") from None
-    if not values:
-        raise ValueError(f"{flag} expects at least one number")
-    return values
 
 
 def _snrs_to_profile(snrs, budget):
@@ -108,9 +105,10 @@ def _cmd_check_submodular(args):
                                    lambda s: rate_of_subset(profile, s.intersection(profile.ids)))
     else:
         oracle = rate_oracle(NoiseProfile(_parse_reals(args.noises, "--noises"), args.power))
+    # check before the first print, so a rejected input prints nothing
+    pairwise = check_submodular_pairwise(oracle, tolerance=args.tolerance)
     u = len(oracle.ground_set)
     print(f"ground_set: {u} elements, tolerance {args.tolerance:g}")
-    pairwise = check_submodular_pairwise(oracle, tolerance=args.tolerance)
     triples = u * (u - 1) // 2 * (1 << max(u - 2, 0))
     print(f"pairwise: {len(pairwise)} violations in {triples} triples")
     if args.output is not None:

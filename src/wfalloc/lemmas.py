@@ -128,12 +128,9 @@ def lemma_witness(profile, base, i, j):
     if i in base or j in base:
         raise ValueError("i and j must lie outside the base set")
     sol_ij = waterfill(profile.subset(base | {i, j}))  # raises on unknown channel ids
-    if profile.budget <= 0.0:
-        raise ValueError("zero budget: the witness needs a positive power budget")
-    if not base:
-        raise ValueError("empty base set: the base water level does not exist")
-
     sol = waterfill(profile.subset(base))
+    if sol.water_level is None:
+        raise ValueError("empty base set or zero budget: the base water level does not exist")
     sol_i = waterfill(profile.subset(base | {i}))
     sol_j = waterfill(profile.subset(base | {j}))
 

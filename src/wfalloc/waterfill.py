@@ -48,7 +48,9 @@ class NoiseProfile:
             raise ValueError(f"power budget must be finite and nonnegative, got {budget}")
         if self.noises:
             # every subset's level is at most budget + its noisiest channel
-            _check_level(self.budget, max(self.noises))
+            noisiest = max(self.noises)
+            if self.budget + noisiest == math.inf:
+                raise ValueError(f"water level overflows: budget {self.budget} plus noise {noisiest}")
         self.ids = tuple(range(len(self.noises))) if ids is None else tuple(ids)
         if len(self.ids) != len(self.noises):
             raise ValueError("need exactly one channel id per noise variance")
@@ -99,12 +101,6 @@ class WaterfillSolution:
     rate: float
 
 
-def _check_level(budget, noise):
-    """Raise ValueError when budget + noise, the level of that channel funded alone, overflows."""
-    if budget + noise == math.inf:
-        raise ValueError(f"water level overflows: budget {budget} plus noise {noise}")
-
-
 _SHRINK = 2.0 ** -64  # exact power-of-two scale for sums that overflow
 
 
@@ -112,11 +108,12 @@ def _scan(sorted_noises, budget):
     """(level, k, rate) for ascending noises and budget > 0: the water level,
     the number of funded channels, and their summed rate in nats.
 
-    A sum that overflows is taken again at an exact power-of-two scale; the
-    noises it then drops below the subnormal range are far below its
-    resolution. When budget + sorted_noises[0] overflows, the sum over all
-    channels, tested first, overflows too; no water level is representable
-    and ValueError is raised there.
+    Requires finite noises and a finite budget + sorted_noises[-1], so that
+    every level is representable. ``NoiseProfile`` checks that sum; a unit
+    budget cannot overflow it, as 1 plus any finite float rounds to at most
+    the largest float. A sum that overflows is taken again at an exact
+    power-of-two scale; the noises it then drops below the subnormal range
+    are far below its resolution.
     """
     prefix = tuple(accumulate(sorted_noises))
     shrunk = None
@@ -126,7 +123,6 @@ def _scan(sorted_noises, budget):
             if level < math.inf:
                 break
             if shrunk is None:
-                _check_level(budget, sorted_noises[0])
                 shrunk = tuple(accumulate(x * _SHRINK for x in sorted_noises))
             level = (budget * _SHRINK + shrunk[k - 1]) / k / _SHRINK
             if level > sorted_noises[k - 1]:
@@ -144,14 +140,13 @@ def _scan(sorted_noises, budget):
 def water_level(profile):
     """Common level at which the budget exactly fills the funded channels.
 
-    Raises ValueError on an empty channel set or a zero budget; no level
-    exists there and callers take rate 0 directly.
+    Raises ValueError on an empty channel set or a zero budget, where
+    ``waterfill`` reports no level and callers take rate 0 directly.
     """
-    if not profile.ids:
-        raise ValueError("empty set: no water level exists")
-    if profile.budget == 0.0:
-        raise ValueError("zero budget: no water level exists")
-    return _scan(sorted(profile.noises), profile.budget)[0]
+    level = waterfill(profile).water_level
+    if level is None:
+        raise ValueError("empty set or zero budget: no water level exists")
+    return level
 
 
 def waterfill(profile):
@@ -180,16 +175,14 @@ def rate_of_subset(profile, channels):
     return _scan(noises, profile.budget)[2]
 
 
-def log_utility(snrs, budget=1.0):
-    """Best sum rate from splitting ``budget`` across receivers with the
-    given SNRs (unit transmit power model unless overridden).
+def log_utility(snrs):
+    """Best sum rate from splitting one basestation's unit transmit power
+    across receivers with the given SNRs.
 
     A receiver with SNR w behaves like a channel with noise 1/w. Receivers
     whose noise is infinite (zero SNR, or one so small that 1/w overflows)
     can never be funded and are excluded before solving.
     """
-    if not (budget > 0.0 and math.isfinite(budget)):
-        raise ValueError(f"budget must be positive and finite, got {budget}")
     noises = []
     for w in snrs:
         w = float(w)
@@ -202,4 +195,4 @@ def log_utility(snrs, budget=1.0):
         noises.pop()
     if not noises:
         return 0.0
-    return _scan(noises, budget)[2]
+    return _scan(noises, 1.0)[2]

@@ -98,6 +98,15 @@ def test_waterfill_bad_noise_string(capsys):
     assert "comma-separated" in err
 
 
+def test_empty_list_tokens_are_rejected(capsys):
+    # a dropped token would shift every later channel id
+    for flag, text in (("--snrs", "10,,5"), ("--noises", "1,2,"), ("--noises", "")):
+        code, out, err = run_cli(capsys, "waterfill", flag, text)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} expects comma-separated numbers, got {text!r}\n"
+
+
 # --- check-submodular -----------------------------------------------------
 
 def test_check_submodular_reports_clean(capsys):
@@ -165,6 +174,13 @@ def test_check_submodular_too_large(capsys):
     code, _, err = run_cli(capsys, "check-submodular", "--noises", noises)
     assert code == 3
     assert "ground set too large" in err
+
+
+def test_check_submodular_rejections_print_nothing(capsys):
+    for noises, tolerance, code in (("1,2,3", "nan", 2), ("1,2,3", "-1", 2),
+                                    (",".join(["1.0"] * 13), "1e-9", 3)):
+        argv = ["check-submodular", "--noises", noises, "--tolerance", tolerance]
+        assert run_cli(capsys, *argv)[:2] == (code, "")
 
 
 # --- simulate -------------------------------------------------------------

@@ -225,9 +225,9 @@ def test_rate_of_subset_is_monotone():
 # --- log_utility ----------------------------------------------------------
 
 def test_log_utility_examples():
-    assert log_utility([10.0], 1.0) == pytest.approx(math.log(11.0), abs=1e-12)
-    assert log_utility([10.0, 10.0], 1.0) == pytest.approx(2 * math.log(6.0), abs=1e-12)
-    assert log_utility([5.0, 0.0], 1.0) == pytest.approx(math.log(6.0), abs=1e-12)
+    assert log_utility([10.0]) == pytest.approx(math.log(11.0), abs=1e-12)
+    assert log_utility([10.0, 10.0]) == pytest.approx(2 * math.log(6.0), abs=1e-12)
+    assert log_utility([5.0, 0.0]) == pytest.approx(math.log(6.0), abs=1e-12)
     assert log_utility([]) == 0.0
     assert log_utility([0.0, 0.0]) == 0.0
 
@@ -235,8 +235,8 @@ def test_log_utility_examples():
 def test_log_utility_errors():
     with pytest.raises(ValueError, match="nonnegative"):
         log_utility([1.0, -0.1])
-    with pytest.raises(ValueError, match="budget"):
-        log_utility([1.0], 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        log_utility([1.0, math.inf])
 
 
 def test_log_utility_matches_waterfill_on_reciprocal_noises():
@@ -246,9 +246,24 @@ def test_log_utility_matches_waterfill_on_reciprocal_noises():
         size = int(rng.integers(1, 6))
         snrs = np.where(rng.random(size) < 0.5, rng.uniform(0.1, 20.0, size),
                         rng.choice([0.0, 2.0, 5.0], size))
-        direct = log_utility(snrs, 1.0)
+        direct = log_utility(snrs)
         via_profile = waterfill(NoiseProfile([1.0 / s for s in snrs if s > 0.0], 1.0)).rate
         assert direct == via_profile
+
+
+# 0, 5e-324 and 1e-310 are never funded (1/w overflows); 1e-308 and the
+# largest float give the largest and smallest finite noises
+FLOAT_EDGE_SNRS = (0.0, 5e-324, 1e-310, 1e-308, 1e-20, 1.0, 2.0, 1e20, 1e308, 1.7976931348623157e308)
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(st.lists(st.one_of(st.sampled_from(FLOAT_EDGE_SNRS), st.floats(0.0, 1.7976931348623157e308)),
+                max_size=8))
+def test_log_utility_is_unit_power_waterfill_over_the_float_range(snrs):
+    rate = log_utility(snrs)
+    assert math.isfinite(rate) and rate >= 0.0
+    fundable = [1.0 / w for w in snrs if w > 0.0 and 1.0 / w < math.inf]
+    assert rate == waterfill(NoiseProfile(fundable, 1.0)).rate
 
 
 # --- float edges ----------------------------------------------------------
@@ -283,8 +298,9 @@ def test_subnormal_noise_rate_is_finite():
 def test_unrepresentable_water_level_is_rejected():
     with pytest.raises(ValueError, match="water level overflows"):
         NoiseProfile([1e308, 1.7e308], 1e308)
-    with pytest.raises(ValueError, match="water level overflows"):
-        log_utility([1e-308], 1e308)
+    # the unit budget cannot overflow: the noises 1e308 + 1e308 take the
+    # rescaled branch and the level 1 + 1e308 rounds to 1e308
+    assert log_utility([1e-308, 1e-308]) == 0.0
 
 
 def test_profile_rejects_a_subset_whose_level_overflows():
