@@ -11,10 +11,11 @@ user subsets, desk scale only) or from an analytic upper bound.
 import math
 from bisect import insort
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .waterfill import _scan, log_utility
+from .waterfill import _scan, _subset_rates, log_utility
 
 __all__ = [
     "BRUTE_FORCE_CAP",
@@ -211,23 +212,64 @@ def check_bruteforce_size(n, m):
         )
 
 
-def _subset_utilities(column):
-    """log_utility of every subset of one station's SNRs; bit u of the index is user u."""
-    subsets = [[]]
-    for w in column:
-        subsets += [s + [w] for s in subsets]
-    return [log_utility(s) for s in subsets]
+def _subset_utilities(W):
+    """log_utility of every subset of each station's users, as an m x 2^n
+    array: entry (j, U) is station j's utility of the users in bitmask U,
+    bit u for user u.
+
+    User u is a channel of noise 1/w_u at each station. Zero SNRs, and SNRs
+    whose 1/w overflows, can never be funded and are dropped, as
+    log_utility drops them. Each station's k other noises are sorted and
+    ``_subset_rates`` solves all 2^k of their subsets in one pass; a
+    permutation then maps each user bitmask to the bitmask of its funded
+    channels in sorted order. The permutation is built for all stations at
+    once, so a station costs one kernel call and no numpy call of its own.
+    """
+    n, m = W.n, W.m
+    with np.errstate(divide="ignore", over="ignore"):
+        noises = 1.0 / W.weights.T
+    order = np.argsort(noises, axis=1, kind="stable")
+    ranked = np.take_along_axis(noises, order, axis=1)
+    rates = []
+    for row, k in zip(ranked.tolist(), np.isfinite(ranked).sum(axis=1).tolist()):
+        # padded to 2^n entries; the permutation never reaches past 2^k
+        rates.append(_subset_rates(row[:k], 1.0) + [0.0] * ((1 << n) - (1 << k)))
+    # each user's bit in its station's sorted order, 0 for a dropped user
+    bits = np.where(noises < math.inf, 1 << order.argsort(axis=1), 0)
+    index = np.zeros((m, 1), np.intp)
+    for u in range(n):
+        index = np.hstack([index, index | bits[:, u:u + 1]])
+    return np.take_along_axis(np.array(rates), index, axis=1)
 
 
-def _best_share(rest, own, mask):
-    """(value, T) maximizing rest[mask - T] + own[T] over T within mask; ties go to largest T."""
-    best, arg, share = rest[0] + own[mask], mask, mask
-    while share:
-        share = (share - 1) & mask
-        value = rest[mask ^ share] + own[share]
-        if value > best:
-            best, arg = value, share
-    return best, arg
+@cache
+def _pair_index(n):
+    """Every (mask ^ T, T) pair with T a submask of an n-bit mask, ordered by
+    mask and, within a mask, by T descending: 3^n pairs as two read-only
+    int32 arrays, with the start and the size of each mask's group.
+
+    Built one bit b at a time: the pairs so far are those of the masks
+    without b, and the group of mask M + b is M's group with b added to
+    each T, then M's group again with b added to mask ^ T. The brute-force
+    cap keeps n <= 12 wherever a fold step runs, so the cache holds at most
+    a few MB.
+    """
+    rest = share = np.zeros(1, np.int32)
+    starts = np.zeros(1, np.intp)
+    for b in range(n):
+        size = len(share)
+        sizes = np.diff(starts, append=size)
+        rest_next, share_next = np.empty(3 * size, np.int32), np.empty(3 * size, np.int32)
+        rest_next[:size], share_next[:size] = rest, share
+        at = np.repeat(starts, sizes) + np.arange(size, 2 * size)
+        rest_next[at], share_next[at] = rest, share | (1 << b)
+        at += np.repeat(sizes, sizes)
+        rest_next[at], share_next[at] = rest | (1 << b), share
+        rest, share, starts = rest_next, share_next, np.concatenate([starts, size + 2 * starts])
+    index = rest, share, starts, np.diff(starts, append=len(share))
+    for array in index:
+        array.setflags(write=False)
+    return index
 
 
 def offline_bruteforce(W):
@@ -235,32 +277,49 @@ def offline_bruteforce(W):
 
     With f_j station j's log utility of every user subset, the best value
     of giving users S to stations 0..j is best_j[S] = max over T within S
-    of best_{j-1}[S - T] + f_j(T): O(m 3^n) steps. On ties the last station
-    takes the largest user bitmask, then each earlier station likewise
-    among the users left. Raises InstanceTooLargeError when m^n exceeds the
-    cap. Returns (allocation, value) with the value recomputed through
+    of best_{j-1}[S - T] + f_j(T): O(m 3^n) steps. The tables f_j come from
+    ``_subset_utilities``. Each step is one numpy max-plus reduction over
+    the (S - T, T) pairs of ``_pair_index``. Each candidate is the one
+    float addition best_{j-1}[S - T] + f_j(T), so every value equals a
+    scalar loop's bit for bit. On ties the last station takes the
+    largest user bitmask, then each earlier station likewise among the
+    users left. Raises InstanceTooLargeError when m^n exceeds the cap.
+    Returns (allocation, value) with the value recomputed through
     system_utility for consistency with other callers.
     """
     n, m = W.n, W.m
     check_bruteforce_size(n, m)
     if m == 1:
         alloc = Allocation((range(n),))
-    else:
-        columns = W.weights.T.tolist()
-        best = _subset_utilities(columns[0])
-        shares = []
-        for column in columns[1:-1]:
-            own = _subset_utilities(column)
-            best, share = zip(*(_best_share(best, own, mask) for mask in range(len(own))))
-            shares.append(share)
-        rest = (1 << n) - 1  # the last station is solved on all users only
-        masks = [_best_share(best, _subset_utilities(columns[-1]), rest)[1]]
-        for share in reversed(shares):
-            rest ^= masks[-1]
-            masks.append(share[rest])
-        masks.append(rest ^ masks[-1])
-        alloc = Allocation(tuple(frozenset(u for u in range(n) if mask >> u & 1)
-                                 for mask in reversed(masks)))
+        return alloc, system_utility(alloc, W)
+    tables = _subset_utilities(W)
+    bests = np.empty((m - 1, 1 << n))
+    bests[0] = tables[0]
+    if m > 2:
+        rest_of, share_of, starts, sizes = _pair_index(n)
+        # row j of candidates becomes station j + 1's sums, in station order
+        candidates = tables[1:-1, share_of]
+        for j, row in enumerate(candidates):
+            row += bests[j][rest_of]  # unlike take, indexing casts the int32 index in a small buffer
+            np.maximum.reduceat(row, starts, out=bests[j + 1])
+        # the largest T reaching its group's maximum: the first in the group
+        shares = np.maximum.reduceat(share_of * (candidates == np.repeat(bests[1:], sizes, axis=1)),
+                                     starts, axis=1).tolist()
+    # entry i leaves users i to the earlier stations and all ^ i to the last;
+    # the first maximum is the smallest i, so the last station's largest T
+    rest = int((bests[-1] + tables[-1][::-1]).argmax())
+    masks = [rest ^ ((1 << n) - 1)]
+    for j in range(m - 3, -1, -1):
+        masks.append(shares[j][rest])
+        rest ^= masks[-1]
+    masks.append(rest)
+    # walk only the set bits, so a station left empty costs no decode
+    parts = [[] for _ in range(m)]
+    for part, mask in zip(parts, reversed(masks)):
+        while mask:
+            part.append((mask & -mask).bit_length() - 1)
+            mask &= mask - 1
+    alloc = Allocation(tuple(parts))
     return alloc, system_utility(alloc, W)
 
 

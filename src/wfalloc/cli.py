@@ -56,9 +56,9 @@ def _snrs_to_profile(snrs, budget):
 
 
 def _input_column(args):
-    W = replay_from_csv(args.input)
     if args.basestation is None:
         raise ValueError("--input needs --basestation to pick a column")
+    W = replay_from_csv(args.input)
     if not 1 <= args.basestation <= W.m:
         raise ValueError(f"--basestation must be in 1..{W.m}")
     return [float(x) for x in W.weights[:, args.basestation - 1]]

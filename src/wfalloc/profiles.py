@@ -121,7 +121,8 @@ def replay_from_csv(path) -> WeightMatrix:
     """Read a weight matrix back from the CSV replay format.
 
     The header must be ``user,bs_1,...,bs_m``; every data row needs a user
-    cell plus m numeric SNRs. Errors name the offending line.
+    cell holding its 0-based row index, as ``write_weights_csv`` writes it,
+    plus m numeric SNRs. Errors name the offending line.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -137,6 +138,8 @@ def replay_from_csv(path) -> WeightMatrix:
                 continue
             if len(row) != m + 1:
                 raise ValueError(f"{path}: line {lineno}: expected {m + 1} cells, got {len(row)}")
+            if row[0] != str(len(rows)):
+                raise ValueError(f"{path}: line {lineno}: user cell must be {len(rows)}, got {row[0]!r}")
             try:
                 values = [float(cell) for cell in row[1:]]
             except ValueError:

@@ -137,6 +137,52 @@ def _scan(sorted_noises, budget):
     return level, k, rate
 
 
+def _subset_rates(sorted_noises, budget):
+    """``_scan``'s rate for every subset of the ascending noises, by bitmask:
+    bit i is sorted_noises[i], and the empty subset has rate 0.
+
+    Same preconditions as ``_scan``. A subset is its parent plus its
+    noisiest member x, its highest bit. Its noise total is the parent's
+    plus x, the float ``_scan``'s prefix sum reaches, so ``_scan``'s first
+    test, k = |S|, is taken here. If the level it gives is above x, every
+    member is funded and the rate is the same log sum over the members,
+    ascending. Otherwise ``_scan`` goes on with the parent's tests, and the
+    subset has the parent's rate. Singletons, infinite levels and infinite
+    rates are handed to ``_scan`` itself, whose overflow, subnormal and
+    fallback branches stay the only ones.
+    """
+    # members are decoded from a low and a high half of the mask, so that
+    # no table holds a list per subset
+    half = (len(sorted_noises) + 1) // 2
+    low_bits = (1 << half) - 1
+    low, high = [[]], [[]]
+    totals, counts, rates = [0.0], [0], [0.0]
+    for h, x in enumerate(sorted_noises):
+        bit = 1 << h
+        lists = low if h < half else high
+        lists += [s + [x] for s in lists]
+        totals.append(x)
+        counts.append(1)
+        rates.append(_scan([x], budget)[2])
+        for parent in range(1, bit):
+            total = totals[parent] + x
+            count = counts[parent] + 1
+            totals.append(total)
+            counts.append(count)
+            level = (budget + total) / count
+            if level <= x:
+                rates.append(rates[parent])
+                continue
+            mask = parent | bit
+            members = low[mask & low_bits] + high[mask >> half]
+            # math.log as in _scan: np.log need not agree to the last bit
+            rate = sum([math.log(level / y) for y in members]) if level < math.inf else math.inf
+            if rate == math.inf:
+                rate = _scan(members, budget)[2]
+            rates.append(rate)
+    return rates
+
+
 def water_level(profile):
     """Common level at which the budget exactly fills the funded channels.
 

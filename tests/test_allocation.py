@@ -195,9 +195,9 @@ def test_greedy_matches_reference_next_to_the_water_level():
 
 
 @st.composite
-def tie_heavy_matrices(draw):
+def tie_heavy_matrices(draw, min_m=1):
     """Small integer SNRs, with some columns zeroed and some copied."""
-    n, m = draw(st.integers(0, 7)), draw(st.integers(1, 4))
+    n, m = draw(st.integers(0, 7)), draw(st.integers(min_m, 4))
     rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=m, max_size=m),
                          min_size=n, max_size=n))
     columns = [list(c) for c in zip(*rows)] if n else [[] for _ in range(m)]
@@ -325,6 +325,70 @@ def test_bruteforce_dominates_greedy():
         _, best = offline_bruteforce(W)
         for strategy in ("greedy", "greedy-absolute", "max-weight"):
             assert best >= system_utility(run_strategy(strategy, W), W) - 1e-9
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(float_edge_matrices())
+def test_subset_utilities_are_log_utility_of_every_subset(W):
+    # zero SNRs and SNRs whose 1/w overflows are dropped, as log_utility drops them
+    tables = allocation._subset_utilities(W)
+    assert tables.shape == (W.m, 1 << W.n)
+    for j, column in enumerate(W.weights.T.tolist()):
+        for mask in range(1 << W.n):
+            assert tables[j, mask] == log_utility([w for u, w in enumerate(column) if mask >> u & 1])
+
+
+def bruteforce_by_best_share(W):
+    """The scalar subset DP that the numpy fold replaced, kept as the
+    reference for its tie rule: log_utility tables over list-doubled
+    subsets, and a submask loop in descending order that keeps the first
+    maximum, so each station takes the largest bitmask among its ties."""
+
+    def utilities(column):
+        subsets = [[]]
+        for w in column:
+            subsets += [s + [w] for s in subsets]
+        return [log_utility(s) for s in subsets]
+
+    def best_share(rest, own, mask):
+        best, arg, share = rest[0] + own[mask], mask, mask
+        while share:
+            share = (share - 1) & mask
+            value = rest[mask ^ share] + own[share]
+            if value > best:
+                best, arg = value, share
+        return best, arg
+
+    n, columns = W.n, W.weights.T.tolist()
+    if len(columns) == 1:
+        return (frozenset(range(n)),)
+    best, shares = utilities(columns[0]), []
+    for column in columns[1:-1]:
+        own = utilities(column)
+        best, share = zip(*(best_share(best, own, mask) for mask in range(len(own))))
+        shares.append(share)
+    rest = (1 << n) - 1
+    masks = [best_share(best, utilities(columns[-1]), rest)[1]]
+    for share in reversed(shares):
+        rest ^= masks[-1]
+        masks.append(share[rest])
+    masks.append(rest ^ masks[-1])
+    return tuple(frozenset(u for u in range(n) if mask >> u & 1) for mask in reversed(masks))
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(tie_heavy_matrices(min_m=3))
+def test_bruteforce_breaks_ties_like_the_scalar_fold(W):
+    # values alone cannot tell the first maximum from the last; allocations can
+    assert offline_bruteforce(W)[0].parts == bruteforce_by_best_share(W)
+
+
+def test_bruteforce_breaks_ties_like_the_scalar_fold_at_the_cap():
+    # 12 users on 3 stations: the largest fold the cap admits, 3^12 pairs
+    rows = np.random.default_rng(12).integers(0, 4, (12, 3)).astype(float)
+    rows[:, 1] = rows[:, 0]  # the middle station ties with the first on every subset
+    W = WeightMatrix(rows)
+    assert offline_bruteforce(W)[0].parts == bruteforce_by_best_share(W)
 
 
 def test_bruteforce_cap():

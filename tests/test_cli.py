@@ -53,6 +53,18 @@ def test_waterfill_from_csv_column(capsys, tmp_path):
     assert "channels: 4" in out
 
 
+def test_waterfill_input_needs_basestation_before_any_read(capsys, tmp_path):
+    missing = str(tmp_path / "missing.csv")
+    code, out, err = run_cli(capsys, "waterfill", "--input", missing)
+    assert (code, out, err) == (2, "", "error: --input needs --basestation to pick a column\n")
+    code, out, err = run_cli(capsys, "waterfill", "--input", missing, "--basestation", "1")
+    assert code == 4 and out == "" and "No such file" in err
+    path = tmp_path / "w.csv"
+    write_weights_csv(generate(ProfileSpec("iid_ten", 4, 2, 3)), path)
+    code, out, err = run_cli(capsys, "waterfill", "--input", str(path), "--basestation", "3")
+    assert (code, out, err) == (2, "", "error: --basestation must be in 1..2\n")
+
+
 def test_waterfill_needs_a_source(capsys):
     code, _, err = run_cli(capsys, "waterfill")
     assert code == 2

@@ -129,6 +129,14 @@ def test_csv_errors(tmp_path):
     with pytest.raises(ValueError, match="line 3"):
         replay_from_csv(bad_width)
 
+    # user cells are row indices: a file that relabels its users is rejected
+    for cells, line, got in ((("7", "x"), 2, "'7'"), (("0", "x"), 3, "'x'"), (("0", "2"), 3, "'2'"),
+                             (("0", " 1"), 3, "' 1'")):
+        relabeled = tmp_path / "relabeled.csv"
+        relabeled.write_text(f"user,bs_1\n{cells[0]},1.0\n{cells[1]},2.0\n")
+        with pytest.raises(ValueError, match=f"line {line}: user cell must be {line - 2}, got {got}"):
+            replay_from_csv(relabeled)
+
     bad_cell = tmp_path / "bad_cell.csv"
     bad_cell.write_text("user,bs_1\n0,fast\n")
     with pytest.raises(ValueError, match="line 2.*non-numeric"):

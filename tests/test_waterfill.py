@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wfalloc.waterfill import (
     NoiseProfile,
+    _subset_rates,
     log_utility,
     rate_of_subset,
     water_level,
@@ -204,6 +205,24 @@ def test_rate_of_subset_is_the_rate_of_the_subset_profile(p):
     for mask in range(1 << len(p)):
         channels = [c for t, c in enumerate(p.ids) if mask >> t & 1]
         assert rate_of_subset(p, channels) == waterfill(p.subset(channels)).rate
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(st.lists(st.one_of(st.sampled_from(FLOAT_EDGE_NOISES), st.sampled_from((1.0, 2.0, 3.0)),
+                          st.floats(5e-324, 1.7e308)), max_size=8),
+       st.sampled_from((1.0, 1e-20, 1e-300)))
+# _scan puts this level one ulp above the dry noise 1/0.68...; the kernel must agree
+@example([1 / 2.1497270091727056, 1 / 0.6825121678520782], 1.0)
+# the pair's level rounds onto its noisier channel, which stays dry
+@example([1.7577333206760832, 1.7577333206760835], 1e-300)
+def test_subset_rates_are_the_rate_of_every_subset(noises, budget):
+    noises.sort()
+    p = NoiseProfile(noises, budget)
+    rates = _subset_rates(noises, budget)
+    assert len(rates) == 1 << len(noises)
+    assert [rate.hex() for rate in rates] == [
+        rate_of_subset(p, [i for i in range(len(noises)) if mask >> i & 1]).hex()
+        for mask in range(1 << len(noises))]
 
 
 def test_rate_of_subset_rejects_unknown_ids_at_any_budget():
