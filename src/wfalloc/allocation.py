@@ -227,7 +227,8 @@ def _subset_utilities(W):
     """
     n, m = W.n, W.m
     with np.errstate(divide="ignore", over="ignore"):
-        noises = 1.0 / W.weights.T
+        # w > 0 as in log_utility: 1 / -0.0 would be -inf, not a dropped channel
+        noises = np.where(W.weights.T > 0.0, 1.0 / W.weights.T, math.inf)
     order = np.argsort(noises, axis=1, kind="stable")
     ranked = np.take_along_axis(noises, order, axis=1)
     rates = []
@@ -313,13 +314,8 @@ def offline_bruteforce(W):
         masks.append(shares[j][rest])
         rest ^= masks[-1]
     masks.append(rest)
-    # walk only the set bits, so a station left empty costs no decode
-    parts = [[] for _ in range(m)]
-    for part, mask in zip(parts, reversed(masks)):
-        while mask:
-            part.append((mask & -mask).bit_length() - 1)
-            mask &= mask - 1
-    alloc = Allocation(tuple(parts))
+    alloc = Allocation(tuple(frozenset(u for u in range(n) if mask >> u & 1)
+                             for mask in reversed(masks)))
     return alloc, system_utility(alloc, W)
 
 

@@ -219,7 +219,7 @@ def test_greedy_matches_reference_on_ties(W, mode):
 # 5e-324 and 1e-310 are subnormal SNRs whose noise 1/w overflows; 1e-308
 # alone lands in the scan's fallback branch (1 + 1e308 rounds to 1e308);
 # 1e300 and 1e308 give tiny and subnormal noises
-FLOAT_EDGE_SNRS = (0.0, 5e-324, 1e-310, 1e-308, 1e-300, 1e300, 1e308, 1.7e308, 0.5, 1.0, 3.0)
+FLOAT_EDGE_SNRS = (0.0, -0.0, 5e-324, 1e-310, 1e-308, 1e-300, 1e300, 1e308, 1.7e308, 0.5, 1.0, 3.0)
 
 
 @st.composite
@@ -293,6 +293,10 @@ def test_bruteforce_examples():
     W1 = WeightMatrix([[2.0, 7.0, 4.0]])
     _, v1 = offline_bruteforce(W1)
     assert v1 == pytest.approx(math.log(8.0), abs=1e-12)
+    # a -0.0 SNR is dropped like 0.0, so user 1 goes to station 0
+    alloc, value = offline_bruteforce(WeightMatrix([[-0.0, 1.0], [1.0, 1.0]]))
+    assert alloc.parts == (frozenset({1}), frozenset({0}))
+    assert value == 2 * math.log(2.0)
 
 
 def test_bruteforce_matches_naive_enumeration():
@@ -380,6 +384,13 @@ def bruteforce_by_best_share(W):
 @given(tie_heavy_matrices(min_m=3))
 def test_bruteforce_breaks_ties_like_the_scalar_fold(W):
     # values alone cannot tell the first maximum from the last; allocations can
+    assert offline_bruteforce(W)[0].parts == bruteforce_by_best_share(W)
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(float_edge_matrices())
+def test_bruteforce_matches_the_scalar_fold_on_float_edges(W):
+    # covers -0.0 SNRs, which must be dropped as log_utility drops them
     assert offline_bruteforce(W)[0].parts == bruteforce_by_best_share(W)
 
 
