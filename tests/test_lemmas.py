@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
+from wfalloc import lemmas
 from wfalloc.lemmas import (
     EASY_I_INACTIVE,
     EASY_J_INACTIVE,
@@ -11,7 +14,14 @@ from wfalloc.lemmas import (
     lemma_witness,
     rate_oracle,
 )
-from wfalloc.submodular import karamata_holds, majorizes
+from wfalloc.submodular import (
+    SetFunctionOracle,
+    check_monotone,
+    check_setpair_submodular,
+    check_submodular_pairwise,
+    karamata_holds,
+    majorizes,
+)
 from wfalloc.waterfill import NoiseProfile, waterfill
 
 from oracles import bisection_water_level
@@ -194,3 +204,82 @@ def test_rate_oracle_wraps_profile():
     assert oracle.ground_set == {0, 1, 2}
     assert oracle.evaluate(frozenset()) == 0.0
     assert oracle.evaluate(frozenset({0, 1, 2})) == waterfill(profile).rate
+
+
+# --- rate_oracle's table --------------------------------------------------
+
+EDGE_NOISES = (5e-324, 1e-310, 1e-300, 1e-20, 0.5, 1.0, 1.0, 2.0, 1e20, 1e300, 1e308, 1.7e308)
+CHECKERS = (check_submodular_pairwise, check_setpair_submodular, check_monotone)
+# _scan puts this pair's level one ulp above the dry noise 1/0.68...
+ONE_ULP_NOISES = [1 / 2.1497270091727056, 1 / 0.6825121678520782]
+
+
+@st.composite
+def labelled_profiles(draw, max_size=7):
+    """Float-edge or tied noises, edge budgets, and string ids whose sorted
+    order is not the channel order."""
+    noise = st.one_of(st.sampled_from(EDGE_NOISES), st.sampled_from((1.0, 2.0, 3.0)),
+                      st.floats(5e-324, 1.7e308))
+    noises = draw(st.lists(noise, max_size=max_size))
+    budget = draw(st.sampled_from((0.0, 1e-300, 1.0)))
+    assume(not noises or budget + max(noises) < math.inf)
+    ids = draw(st.permutations([f"c{k}" for k in range(len(noises))]))
+    return NoiseProfile(noises, budget, ids)
+
+
+def every_subset(elems):
+    return [frozenset(e for t, e in enumerate(elems) if mask >> t & 1)
+            for mask in range(1 << len(elems))]
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(labelled_profiles())
+@example(NoiseProfile(ONE_ULP_NOISES, 1.0, ["b", "a"]))
+@example(NoiseProfile([], 1.0))
+@example(NoiseProfile([], 0.0))
+def test_rate_table_is_evaluate_bit_for_bit(p):
+    oracle = rate_oracle(p)
+    elems = sorted(p.ids)
+    table = oracle.table(elems)
+    assert [v.hex() for v in table.tolist()] == \
+        [float(oracle.evaluate(s)).hex() for s in every_subset(elems)]
+
+
+def count_calls(monkeypatch, module, names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(module, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_checking_a_rate_oracle_takes_one_table_call(monkeypatch):
+    calls = count_calls(monkeypatch, lemmas, ("_subset_rates", "rate_of_subset"))
+    oracle = rate_oracle(NoiseProfile([3.0, 0.5, 2.0, 0.5, 7.0], 1.5, "edcba"))
+    for check in CHECKERS:
+        calls.update(_subset_rates=0, rate_of_subset=0)
+        assert check(oracle) == []
+        assert calls == {"_subset_rates": 1, "rate_of_subset": 0}
+        # the same function without its table is evaluated once per subset
+        calls.update(_subset_rates=0, rate_of_subset=0)
+        assert check(SetFunctionOracle(oracle.ground_set, oracle.evaluate)) == []
+        assert calls == {"_subset_rates": 0, "rate_of_subset": 32}
+
+
+@settings(derandomize=True, database=None, max_examples=150)
+@given(labelled_profiles(max_size=6), st.sampled_from((0.0, 1e-9)))
+@example(NoiseProfile(ONE_ULP_NOISES, 1.0, ["b", "a"]), 0.0)
+def test_checkers_agree_on_the_table_and_evaluate(p, tolerance):
+    oracle = rate_oracle(p)
+    untabled = SetFunctionOracle(frozenset(p.ids), oracle.evaluate)
+
+    def rows(violations):  # repr tells -0.0 from 0.0
+        return [(v.base_set, v.elem_i, v.elem_j, repr(v.lhs), repr(v.rhs), repr(v.gap))
+                for v in violations]
+
+    assert rows(check_submodular_pairwise(oracle, tolerance)) == \
+        rows(check_submodular_pairwise(untabled, tolerance))
+    for check in (check_setpair_submodular, check_monotone):
+        assert check(oracle, tolerance) == check(untabled, tolerance)

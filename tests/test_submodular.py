@@ -1,5 +1,6 @@
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,19 @@ def test_monotone_cap():
 
 # --- all three checks ----------------------------------------------------
 
+def test_pair_checks_stay_small_at_twelve_elements():
+    # an unblocked 4^12 float64 gap array alone would take 128 MiB
+    oracle = oracle_from(MODULAR, 12)
+    tracemalloc.start()
+    try:
+        assert check_setpair_submodular(oracle, tolerance=0.0, max_ground_size=12) == []
+        assert check_monotone(oracle, tolerance=0.0, max_ground_size=12) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
 CHECKERS = (check_submodular_pairwise, check_setpair_submodular, check_monotone)
 
 
@@ -195,6 +209,17 @@ def test_non_finite_oracle_value_is_rejected(check, bad):
         check(oracle_from(lambda s: bad, 3))
     with pytest.raises(ValueError, match=r"at \[0, 2\] is not finite"):
         check(oracle_from(lambda s: bad if s == {0, 2} else MODULAR(s), 3))
+
+
+@pytest.mark.parametrize("check", CHECKERS)
+def test_a_table_is_checked_like_evaluate(check):
+    def tabled(values):
+        return SetFunctionOracle(frozenset("ab"), MODULAR, lambda elems: values)
+
+    with pytest.raises(ValueError, match=r"at \['b'\] is not finite: nan"):
+        check(tabled([0.0, 1.0, math.nan, 2.0]))
+    with pytest.raises(ValueError, match="one value per subset"):
+        check(tabled([0.0, 1.0]))
 
 
 # --- majorization ---------------------------------------------------------
