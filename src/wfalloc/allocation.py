@@ -126,8 +126,8 @@ def online_greedy(W, mode="marginal_gain"):
 
     A receiver with SNR w is a channel with noise N = 1/w, infinite for
     w = 0 or a 1/w that overflows. Each station holds its users' finite
-    noises in ascending order, its utility, and a cutoff just above its
-    water level, so a score never re-validates, re-inverts or re-sorts
+    noises in ascending order, its utility, its water level and a cutoff
+    just above it, so a score never re-validates, re-inverts or re-sorts
     them. Adding a channel only lowers the level and pushes the noisiest
     funded channels below water: the ordering chain ``lemmas`` checks.
 
@@ -140,8 +140,33 @@ def online_greedy(W, mode="marginal_gain"):
       positions before N are unchanged, so the solve would return the same
       level, count and rate bit for bit. An infinite N is dropped, as
       ``log_utility`` drops it.
-    * Any other user is solved once by ``_scan`` with the station's noises.
-      A channel pushed below water stays dry in exact arithmetic, but it
+    * Any other user first gets an upper bound on its gain. The rate is
+      submodular (the paper's result), so the gain at a station is at most
+      the gain at an empty one, log(1 + w). Weak duality caps it too: with
+      power priced at 1/level, the dual of M_j + i exceeds L(M_j) by
+      h(level * w) alone, where h(r) = log r - 1 + 1/r for r > 1 and 0
+      otherwise. An empty station has no level and takes log(1 + w).
+      Stations are visited in descending order of their bound plus margin
+      (plus L(M_j) in ``absolute_value`` mode), and each is solved once by
+      ``_scan`` until the next one is below the best score found. One
+      equal to it is still solved, so the lower index wins the tie.
+    * The margin is (n+2)^2 2^-50 (1 + L(M_j) + bound), the cutoff's factor
+      times the rates in play, which covers the rounding between the
+      computed score and the computed bound. A rate ``_scan`` returns for
+      k <= n + 1 channels is within about (k+1)^2 2^-53 (1 + rate) of the
+      exact rate of its noises: its level carries the rounding of k
+      additions and a division, each log that of a division and its own,
+      and a channel the rounded level funds or leaves dry wrongly sits
+      within that rounding of the level, so moves the sum by no more. The
+      stored level, one ulp above a dry noise included, is off by at most
+      (n+1) 2^-53 relative. That moves h(level * w) by no more, since
+      r h'(r) = 1 - 1/r < 1, and the dual value only by its square.
+      log1p, h, N = 1/w and the final subtraction or addition round by a
+      few ulps of the bound. The sum is about a quarter of the margin (a
+      property test holds it under half), so a station whose bound plus
+      margin is below the best score has a computed score below it too,
+      and could not have won or tied.
+    * A channel pushed below water stays dry in exact arithmetic, but it
       is kept: a rounded level can sit above a dry noise, and a later user
       can fund it again, where a station that had dropped it would score
       differently from ``log_utility``.
@@ -158,28 +183,54 @@ def _greedy_arrivals(W, marginal):
     """Yield, per arrival, the station it joins and every station's
     utility after it joins (one list, updated in place)."""
     noises = [[] for _ in range(W.m)]
+    levels = [math.inf] * W.m  # an empty station's bound is log1p(w): h(inf) = inf
+    slacks = [4 * 2.0 ** -50] * W.m  # (n+2)^2 2^-50 for n noises held
     cutoffs = [math.inf] * W.m
     utils = [0.0] * W.m
     for row in W.weights.tolist():
         best_j, best_score, best_value, best_state = 0, -math.inf, 0.0, None
+        pending = []
         for j, w in enumerate(row):
             noise = 1.0 / w if w else math.inf
             if noise >= cutoffs[j]:
-                value, state = utils[j], None
-            else:
-                cand = noises[j].copy()
-                insort(cand, noise)
-                level, _, value = _scan(cand, 1.0)
-                state = cand, level
+                score = 0.0 if marginal else utils[j]
+                if score > best_score:
+                    best_j, best_score, best_value = j, score, utils[j]
+                continue
+            bound = _gain_bound(w, levels[j], slacks[j], utils[j])
+            pending.append((bound if marginal else utils[j] + bound, j, noise))
+        pending.sort(reverse=True)
+        for bound, j, noise in pending:
+            if bound < best_score:
+                break
+            cand = noises[j].copy()
+            insort(cand, noise)
+            level, _, value = _scan(cand, 1.0)
             score = value - utils[j] if marginal else value
-            if score > best_score:
-                best_j, best_score, best_value, best_state = j, score, value, state
+            if score > best_score or (score == best_score and j < best_j):
+                best_j, best_score, best_value, best_state = j, score, value, (cand, level)
         if best_state is not None:
             cand, level = best_state
-            noises[best_j] = cand
-            cutoffs[best_j] = level * (1.0 + (len(cand) + 2) ** 2 * 2.0 ** -50)
+            noises[best_j], levels[best_j] = cand, level
+            slacks[best_j] = (len(cand) + 2) ** 2 * 2.0 ** -50
+            cutoffs[best_j] = level * (1.0 + slacks[best_j])
         utils[best_j] = best_value
         yield best_j, utils
+
+
+def _gain_bound(w, level, slack, util):
+    """Upper bound on the computed gain of a user with SNR w at a station
+    with water level ``level`` and utility ``util``, with the margin
+    ``slack * (1 + util + bound)`` included: see ``online_greedy``."""
+    gain = math.log1p(w)
+    r = level * w
+    if r <= 1.0:
+        gain = 0.0
+    elif r < math.inf:
+        h = math.log(r) - 1.0 + 1.0 / r
+        if h < gain:
+            gain = h
+    return gain + slack * (1.0 + util + gain)
 
 
 def max_weight(W):

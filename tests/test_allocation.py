@@ -4,7 +4,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wfalloc import allocation
@@ -26,7 +26,7 @@ from wfalloc.allocation import (
 )
 from wfalloc.profiles import ProfileSpec, generate
 from wfalloc.submodular import SetFunctionOracle, check_monotone, check_submodular_pairwise
-from wfalloc.waterfill import NoiseProfile, log_utility, water_level, waterfill
+from wfalloc.waterfill import NoiseProfile, _scan, log_utility, water_level, waterfill
 
 from oracles import greedy_by_hand, naive_best_allocation
 
@@ -248,6 +248,102 @@ def test_greedy_fallback_station_matches_reference():
                       [1e300, 1e-308], [0.0, 0.0], [1e-308, 2.0]])
     for mode in GREEDY_MODES:
         assert online_greedy(W, mode).parts == greedy_by_hand(W, mode)
+
+
+ULP = 2.0 ** -52
+
+
+def station_state(snrs):
+    """A station's sorted finite noises, level, utility and slack, as
+    online greedy keeps them after these users join."""
+    noises = sorted(1.0 / w for w in snrs if w > 0.0 and 1.0 / w < math.inf)
+    level, _, util = _scan(noises, 1.0) if noises else (math.inf, 0, 0.0)
+    return noises, level, util, (len(noises) + 2) ** 2 * 2.0 ** -50
+
+
+@st.composite
+def stations_and_arrivals(draw):
+    """A station's SNRs and an arriving SNR: float edges, tied noises, or an
+    arrival within 3 ulps of the station's level or of a held noise."""
+    nudge = st.integers(-3, 3).map(lambda k: 1.0 + k * ULP)
+    kind = draw(st.sampled_from(("edges", "tied", "level", "held")))
+    if kind == "edges":
+        snrs = draw(st.lists(st.sampled_from(FLOAT_EDGE_SNRS), max_size=6))
+        return snrs, draw(st.sampled_from(FLOAT_EDGE_SNRS))
+    if kind == "tied":
+        base = draw(st.floats(1e-3, 1e3))
+        snrs = [base * draw(nudge) for _ in range(draw(st.integers(1, 12)))]
+        return snrs, base * draw(nudge)
+    snrs = draw(st.lists(st.floats(1e-3, 10.0), min_size=1, max_size=12))
+    noises, level = station_state(snrs)[:2]
+    target = level if kind == "level" else draw(st.sampled_from(noises))
+    return snrs, 1.0 / target * draw(nudge)
+
+
+@settings(derandomize=True, database=None, max_examples=600)
+@example(([2.1497270091727056, 0.6825121678520782], 0.6825121678520782))
+@given(stations_and_arrivals())
+def test_gain_bound_covers_every_computed_score(state):
+    # the pruning bound with its margin is at least the score the solve
+    # would give, so a pruned station could not have won or tied, and the
+    # score uses at most half the margin; the example is the profile whose
+    # level sits one ulp above its dry noise
+    snrs, w = state
+    noise = 1.0 / w if w else math.inf
+    if noise == math.inf:
+        return  # never bounded: scored exactly 0 without a solve
+    noises, level, util, slack = station_state(snrs)
+    bound = allocation._gain_bound(w, level, slack, util)
+    half = bound - (bound - allocation._gain_bound(w, level, 0.0, util)) / 2
+    value = _scan(sorted(noises + [noise]), 1.0)[2]
+    assert value - util <= half <= bound
+    assert value <= util + half <= util + bound
+
+
+def test_greedy_matches_reference_on_planted_near_ties():
+    # every column copies one base column with each SNR nudged by up to 3
+    # ulps, and some SNRs sit within 3 ulps of a station's level, so the
+    # stations' bounds and scores tie the best within rounding
+    rng = np.random.default_rng(94)
+    for trial in range(120):
+        mode = GREEDY_MODES[trial % 2]
+        m = int(rng.integers(2, 5))
+        rows = np.zeros((0, m))
+        for _ in range(int(rng.integers(2, 10))):
+            first = float(rng.integers(1, 4)) if trial % 3 else float(rng.uniform(0.1, 5.0))
+            row = first * (1.0 + rng.integers(-3, 4, m) * ULP)
+            for j, part in enumerate(greedy_by_hand(WeightMatrix(rows), mode)):
+                noises = [1.0 / rows[u, j] for u in part]
+                if noises and rng.random() < 0.3:
+                    level = water_level(NoiseProfile(noises, 1.0))
+                    row[j] = 1.0 / level * (1.0 + int(rng.integers(-3, 4)) * ULP)
+            rows = np.vstack([rows, row])
+        W = WeightMatrix(rows)
+        assert online_greedy(W, mode).parts == greedy_by_hand(W, mode)
+
+
+def test_greedy_solves_a_station_whose_bound_ties_the_best(monkeypatch):
+    # with each empty station's bound made exactly its score, station 0's
+    # bound equals the best score once a copy has been solved; it must still
+    # be solved to win the tie by its lower index
+    monkeypatch.setattr(allocation, "_gain_bound", lambda w, level, slack, util: _scan([1.0 / w], 1.0)[2])
+    W = WeightMatrix([[5.0, 5.0, 5.0]])
+    for mode in GREEDY_MODES:
+        assert online_greedy(W, mode).parts == (frozenset({0}), frozenset(), frozenset())
+
+
+def test_greedy_solves_few_stations_per_arrival(monkeypatch):
+    # a guard against the pruning silently switching off: scoring every
+    # station not past its cutoff took 8.5 (marginal) and 15.3 (absolute)
+    # solves per arrival here; pruning by the gain bound takes 1.4 and 0.3
+    W = generate(ProfileSpec("iid_ten", 400, 16, 1))
+    calls = []
+    scan = allocation._scan
+    monkeypatch.setattr(allocation, "_scan", lambda *args: calls.append(args) or scan(*args))
+    for mode, most in (("marginal_gain", 1.5), ("absolute_value", 0.5)):
+        calls.clear()
+        online_greedy(W, mode)
+        assert len(calls) <= most * W.n
 
 
 # --- max weight -----------------------------------------------------------

@@ -174,6 +174,23 @@ def test_check_submodular_snrs_zero_power_certifies(capsys):
     ]
 
 
+def test_check_submodular_certifies_subnormal_noises_at_the_default_tolerance(capsys):
+    # the computed rates break monotonicity and submodularity by an ulp
+    # here, which --tolerance 0 reports and the default 1e-9 absorbs
+    argv = ["check-submodular", "--noises", "1e-310,1e-300,1e-300,1e-300,5e-324", "--power", "1e-300"]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    assert out.splitlines()[1:] == [
+        "pairwise: 0 violations in 80 triples",
+        "monotone: 0 violations",
+        "setpair: 0 violations",
+    ]
+    code, out, _ = run_cli(capsys, *argv, "--tolerance", "0")
+    assert code == 0
+    assert "pairwise: 0 violations in 80 triples" not in out.splitlines()
+
+
 def test_check_submodular_rejects_non_finite_snrs_before_checking(capsys):
     code, out, err = run_cli(capsys, "check-submodular", "--snrs", "nan,5")
     assert code == 2
