@@ -23,7 +23,7 @@ from .submodular import (
     check_submodular_pairwise,
     violations_to_csv,
 )
-from .waterfill import NoiseProfile, rate_of_subset, waterfill
+from .waterfill import NoiseProfile, _snr_noises, rate_of_subset, waterfill
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -46,13 +46,9 @@ def _parse_reals(text, flag):
 
 def _snrs_to_profile(snrs, budget):
     """Channels for the SNRs with a finite noise 1/w, keyed by their original index."""
-    for w in snrs:
-        if not math.isfinite(w):
-            raise ValueError(f"SNRs must be finite, got {w}")
-        if w < 0.0:
-            raise ValueError(f"SNRs must be nonnegative, got {w}")
-    ids = [u for u, w in enumerate(snrs) if w > 0.0 and 1.0 / w < math.inf]
-    return NoiseProfile([1.0 / snrs[u] for u in ids], budget, ids)
+    noises = _snr_noises(snrs)
+    ids = [u for u, x in enumerate(noises) if x < math.inf]
+    return NoiseProfile([noises[u] for u in ids], budget, ids)
 
 
 def _input_column(args):

@@ -32,10 +32,8 @@ of the main-case bookkeeping.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .submodular import SetFunctionOracle
-from .waterfill import NoiseProfile, _subset_rates, rate_of_subset, waterfill
+from .waterfill import NoiseProfile, _subset_tables, rate_of_subset, waterfill
 
 __all__ = [
     "MAIN_CASE",
@@ -65,25 +63,12 @@ def _close(x, y, tol=_REL_TOL):
 def rate_oracle(profile: NoiseProfile) -> SetFunctionOracle:
     """The profile's subset -> optimal rate map as a checkable set function.
 
-    Its ``table`` solves every subset in one ``_subset_rates`` pass over the
-    noises in ascending order, then maps each element bitmask to the
-    bitmask of its noises in that order. Tied noises are equal floats, so
-    any order among them gives the same rates, bit for bit those of
-    ``rate_of_subset``.
+    Its ``table`` solves every subset in one ``_subset_tables`` call, bit
+    for bit the rates of ``rate_of_subset``.
     """
-
-    def table(elems):
-        if profile.budget == 0.0:
-            return np.zeros(1 << len(elems))
-        noises = np.array([profile.noise_of(e) for e in elems])
-        order = np.argsort(noises, kind="stable")
-        rates = np.array(_subset_rates(noises[order].tolist(), profile.budget))
-        index = np.zeros(1, np.intp)
-        for bit in (1 << order.argsort()).tolist():
-            index = np.concatenate([index, index | bit])
-        return rates[index]
-
-    return SetFunctionOracle(frozenset(profile.ids), lambda s: rate_of_subset(profile, s), table)
+    return SetFunctionOracle(
+        frozenset(profile.ids), lambda s: rate_of_subset(profile, s),
+        lambda elems: _subset_tables([[profile.noise_of(e) for e in elems]], profile.budget)[0])
 
 
 @dataclass(frozen=True)

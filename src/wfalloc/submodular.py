@@ -71,6 +71,14 @@ class SubmodularityViolation:
     gap: float
 
 
+def _check_tolerance(tolerance):
+    """Reject a NaN, infinite or negative tolerance, under which a verdict is vacuous."""
+    if not math.isfinite(tolerance):
+        raise ValueError(f"tolerance must be finite, got {tolerance}")
+    if tolerance < 0.0:
+        raise ValueError("tolerance must be nonnegative")
+
+
 def _subset_table(oracle, tolerance, max_ground_size, check):
     """Validate a check's arguments, then tabulate the oracle over every subset.
 
@@ -82,10 +90,7 @@ def _subset_table(oracle, tolerance, max_ground_size, check):
     tolerance or oracle value raises ValueError, since any comparison with
     NaN is false and would certify vacuously.
     """
-    if not math.isfinite(tolerance):
-        raise ValueError(f"tolerance must be finite, got {tolerance}")
-    if tolerance < 0.0:
-        raise ValueError("tolerance must be nonnegative")
+    _check_tolerance(tolerance)
     elems = sorted(oracle.ground_set)
     u = len(elems)
     if u > max_ground_size:
@@ -204,8 +209,10 @@ def majorizes(a, b, tolerance=1e-9):
 
     Both vectors are sorted descending internally; the sums must agree
     within a relative tolerance and every descending prefix sum of ``a``
-    must dominate the matching prefix of ``b``. Length mismatch raises.
+    must dominate the matching prefix of ``b``. Length mismatch and a bad
+    tolerance (``_check_tolerance``) raise.
     """
+    _check_tolerance(tolerance)
     a = sorted((float(x) for x in a), reverse=True)
     b = sorted((float(x) for x in b), reverse=True)
     if len(a) != len(b):
@@ -224,8 +231,10 @@ def karamata_holds(a, b, g, tolerance=1e-9):
     """Whether sum(g(a_i)) >= sum(g(b_i)) - tolerance for a convex ``g``.
 
     Callers must have established majorizes(a, b) for the verdict to carry
-    meaning; convexity of ``g`` is trusted, not verified here.
+    meaning; convexity of ``g`` is trusted, not verified here. Length
+    mismatch and a bad tolerance (``_check_tolerance``) raise.
     """
+    _check_tolerance(tolerance)
     a = [float(x) for x in a]
     b = [float(x) for x in b]
     if len(a) != len(b):

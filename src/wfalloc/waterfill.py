@@ -15,8 +15,11 @@ log (nats).
 """
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
+
+import numpy as np
 
 __all__ = [
     "NoiseProfile",
@@ -183,6 +186,31 @@ def _subset_rates(sorted_noises, budget):
     return rates
 
 
+def _subset_tables(noises, budget):
+    """``_scan``'s rate of every subset of each row of a rows x n noise
+    matrix, by column bitmask. An infinite noise is never funded; a zero
+    budget, where ``_scan`` does not apply, gives 0. ``_subset_rates``
+    solves each row's sorted finite noises, and one permutation for all
+    rows maps column bitmasks to sorted ones (tied noises are equal floats,
+    so their order changes no rate)."""
+    noises = np.asarray(noises, dtype=float)
+    rows, n = noises.shape
+    if budget == 0.0:
+        return np.zeros((rows, 1 << n))
+    rates = []  # row r's table from r * 2^n, zero-padded past its 2^k subsets
+    for row in np.sort(noises, axis=1).tolist():
+        k = bisect_left(row, math.inf)
+        rates += _subset_rates(row[:k], budget)
+        rates += [0.0] * ((1 << n) - (1 << k))
+    # each column's bit in its row's sorted order, 0 for an infinite noise
+    bits = np.where(noises < math.inf, 1 << np.argsort(noises, axis=1, kind="stable").argsort(axis=1), 0)
+    index = np.zeros((rows, 1 << n), np.intp)
+    index[:, 0] = np.arange(rows) << n  # row r's start, clear of every sorted bit
+    for t in range(n):
+        np.bitwise_or(index[:, :1 << t], bits[:, t:t + 1], out=index[:, 1 << t:2 << t])
+    return np.array(rates, dtype=float)[index]
+
+
 def water_level(profile):
     """Common level at which the budget exactly fills the funded channels.
 
@@ -221,22 +249,30 @@ def rate_of_subset(profile, channels):
     return _scan(noises, profile.budget)[2]
 
 
+def _snr_noises(snrs):
+    """The one owner of the SNR rule: noise 1/w for SNR w, infinite (never
+    funded) for a zero SNR or a 1/w that overflows. Raises ValueError on a
+    non-finite, then a negative SNR, checked in list order."""
+    noises = []
+    for w in snrs:
+        w = float(w)
+        if not math.isfinite(w):
+            raise ValueError(f"SNRs must be finite, got {w}")
+        if w < 0.0:
+            raise ValueError(f"SNRs must be nonnegative, got {w}")
+        noises.append(1.0 / w if w > 0.0 else math.inf)
+    return noises
+
+
 def log_utility(snrs):
     """Best sum rate from splitting one basestation's unit transmit power
     across receivers with the given SNRs.
 
     A receiver with SNR w behaves like a channel with noise 1/w. Receivers
-    whose noise is infinite (zero SNR, or one so small that 1/w overflows)
-    can never be funded and are excluded before solving.
+    whose noise is infinite (``_snr_noises``) can never be funded and are
+    excluded before solving.
     """
-    noises = []
-    for w in snrs:
-        w = float(w)
-        if not math.isfinite(w) or w < 0.0:
-            raise ValueError(f"SNRs must be nonnegative and finite, got {w}")
-        if w > 0.0:
-            noises.append(1.0 / w)
-    noises.sort()
+    noises = sorted(_snr_noises(snrs))
     while noises and noises[-1] == math.inf:
         noises.pop()
     if not noises:

@@ -1,4 +1,5 @@
 import gc
+import inspect
 import math
 import time
 
@@ -26,7 +27,7 @@ from wfalloc.allocation import (
 )
 from wfalloc.profiles import ProfileSpec, generate
 from wfalloc.submodular import SetFunctionOracle, check_monotone, check_submodular_pairwise
-from wfalloc.waterfill import NoiseProfile, _scan, log_utility, water_level, waterfill
+from wfalloc.waterfill import NoiseProfile, _scan, _snr_noises, log_utility, water_level, waterfill
 
 from oracles import greedy_by_hand, naive_best_allocation
 
@@ -239,6 +240,22 @@ def float_edge_matrices(draw):
 @given(float_edge_matrices(), st.sampled_from(GREEDY_MODES))
 def test_greedy_matches_reference_on_float_edges(W, mode):
     assert online_greedy(W, mode).parts == greedy_by_hand(W, mode)
+
+
+GREEDY_NOISE = "noise = 1.0 / w if w else math.inf"
+
+
+def test_the_snr_rule_copies_match_its_owner(monkeypatch):
+    # _snr_noises owns the SNR -> noise rule; greedy's inline copy and the
+    # numpy copy in _subset_utilities must give its noises bit for bit
+    snrs = FLOAT_EDGE_SNRS  # with -0.0 and the subnormals 5e-324 and 1e-310
+    owner = [x.hex() for x in _snr_noises(snrs)]
+    assert GREEDY_NOISE in inspect.getsource(allocation._greedy_arrivals)
+    assert [(1.0 / w if w else math.inf).hex() for w in snrs] == owner
+    tables = []
+    monkeypatch.setattr(allocation, "_subset_tables", lambda noises, budget: tables.append(noises))
+    allocation._subset_utilities(WeightMatrix([snrs]))  # one user, a station per SNR
+    assert [x.hex() for x in tables[0].ravel().tolist()] == owner
 
 
 def test_greedy_fallback_station_matches_reference():

@@ -97,6 +97,15 @@ def test_waterfill_rejects_non_finite_snrs(capsys):
         assert "SNRs must be finite" in err
 
 
+def test_negative_snrs_are_rejected(capsys):
+    # "--snrs -1,2" would read -1,2 as a flag: a list with a leading - needs "=";
+    # -inf is negative too, but finiteness is checked first
+    for command in ("waterfill", "check-submodular"):
+        for snrs, err in (("-1,2", "SNRs must be nonnegative, got -1.0"),
+                          ("1,-inf", "SNRs must be finite, got -inf")):
+            assert run_cli(capsys, command, f"--snrs={snrs}") == (2, "", f"error: {err}\n")
+
+
 def test_waterfill_rejects_a_profile_with_an_unsolvable_subset(capsys):
     code, out, err = run_cli(capsys, "waterfill", "--noises", "1,1e308", "--power", "1e308")
     assert code == 2

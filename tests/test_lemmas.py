@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -245,9 +246,10 @@ def test_rate_table_is_evaluate_bit_for_bit(p):
         [float(oracle.evaluate(s)).hex() for s in every_subset(elems)]
 
 
-def count_calls(monkeypatch, module, names):
-    calls = dict.fromkeys(names, 0)
-    for name in names:
+def count_calls(monkeypatch, targets):
+    """Count the calls to each (module, name) of ``targets``, by name."""
+    calls = {name: 0 for _, name in targets}
+    for module, name in targets:
         def counted(*args, _name=name, _fn=getattr(module, name)):
             calls[_name] += 1
             return _fn(*args)
@@ -256,7 +258,9 @@ def count_calls(monkeypatch, module, names):
 
 
 def test_checking_a_rate_oracle_takes_one_table_call(monkeypatch):
-    calls = count_calls(monkeypatch, lemmas, ("_subset_rates", "rate_of_subset"))
+    # the package re-exports the function waterfill under its module's name
+    calls = count_calls(monkeypatch, ((sys.modules["wfalloc.waterfill"], "_subset_rates"),
+                                      (lemmas, "rate_of_subset")))
     oracle = rate_oracle(NoiseProfile([3.0, 0.5, 2.0, 0.5, 7.0], 1.5, "edcba"))
     for check in CHECKERS:
         calls.update(_subset_rates=0, rate_of_subset=0)

@@ -1,3 +1,4 @@
+import importlib
 import sys
 
 import wfalloc
@@ -17,3 +18,10 @@ def test_package_exports_exactly_the_module_names():
 
 def test_package_waterfill_is_the_solver():
     assert wfalloc.waterfill is sys.modules["wfalloc.waterfill"].waterfill
+
+
+def test_only_waterfill_binds_the_subset_kernel():
+    # lemmas and allocation reach the all-subsets kernel through _subset_tables
+    assert hasattr(sys.modules["wfalloc.waterfill"], "_subset_rates")
+    for mod in [mod for mod in MODULES if mod != "waterfill"] + ["cli"]:
+        assert not hasattr(importlib.import_module(f"wfalloc.{mod}"), "_subset_rates"), mod

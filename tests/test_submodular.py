@@ -279,6 +279,18 @@ def test_karamata_length_mismatch():
         karamata_holds([1.0], [1.0, 2.0], math.exp)
 
 
+@pytest.mark.parametrize("tolerance, message", [(math.inf, "tolerance must be finite, got inf"),
+                                                (math.nan, "tolerance must be finite, got nan"),
+                                                (-1.0, "tolerance must be nonnegative")])
+def test_majorization_rejects_a_tolerance_that_decides_every_comparison(tolerance, message):
+    # unchecked, inf made both verdicts below True, and -1 made
+    # majorizes([3, 1], [2, 2]) False
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        majorizes([1.0, 1.0], [5.0, 0.0], tolerance=tolerance)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        karamata_holds([2.0, 2.0], [3.0, 1.0], lambda x: x * x, tolerance=tolerance)
+
+
 # --- CSV dump -------------------------------------------------------------
 
 def test_violations_to_csv(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from wfalloc.waterfill import (
     NoiseProfile,
     _subset_rates,
+    _subset_tables,
     log_utility,
     rate_of_subset,
     water_level,
@@ -186,6 +187,8 @@ def test_rate_of_subset_examples():
 # headroom for the budget; repeated values tie
 FLOAT_EDGE_NOISES = (5e-324, 1e-310, 1e-300, 1e-20, 0.5, 1.0, 1.0, 2.0, 1e20, 1e300, 1e308, 1.7e308)
 FLOAT_EDGE_BUDGETS = (0.0, 1e-300, 1e-20, 1.0, 2.5, 1e300)
+# _scan puts this pair's level one ulp above the dry noise 1/0.68...
+ONE_ULP_NOISES = [1 / 2.1497270091727056, 1 / 0.6825121678520782]
 
 
 @st.composite
@@ -211,8 +214,8 @@ def test_rate_of_subset_is_the_rate_of_the_subset_profile(p):
 @given(st.lists(st.one_of(st.sampled_from(FLOAT_EDGE_NOISES), st.sampled_from((1.0, 2.0, 3.0)),
                           st.floats(5e-324, 1.7e308)), max_size=8),
        st.sampled_from((1.0, 1e-20, 1e-300)))
-# _scan puts this level one ulp above the dry noise 1/0.68...; the kernel must agree
-@example([1 / 2.1497270091727056, 1 / 0.6825121678520782], 1.0)
+# the kernel must agree with _scan's level one ulp above the dry noise
+@example(ONE_ULP_NOISES, 1.0)
 # the pair's level rounds onto its noisier channel, which stays dry
 @example([1.7577333206760832, 1.7577333206760835], 1e-300)
 def test_subset_rates_are_the_rate_of_every_subset(noises, budget):
@@ -223,6 +226,41 @@ def test_subset_rates_are_the_rate_of_every_subset(noises, budget):
     assert [rate.hex() for rate in rates] == [
         rate_of_subset(p, [i for i in range(len(noises)) if mask >> i & 1]).hex()
         for mask in range(1 << len(noises))]
+
+
+@st.composite
+def noise_matrices(draw):
+    """Rows of float-edge, tied and infinite noises with a budget that no
+    row's finite noises overflow."""
+    noise = st.one_of(st.sampled_from(FLOAT_EDGE_NOISES), st.sampled_from((1.0, 2.0, 3.0, math.inf)),
+                      st.floats(5e-324, 1.7e308))
+    n = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(noise, min_size=n, max_size=n), min_size=1, max_size=3))
+    budget = draw(st.sampled_from((0.0, 1e-300, 1.0)))
+    assume(all(budget + x < math.inf for row in rows for x in row if x < math.inf))
+    return rows, budget
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(noise_matrices())
+@example(([ONE_ULP_NOISES, ONE_ULP_NOISES[::-1]], 1.0))
+# the rounded mean of these near-tied noises tops the noisiest one, so a
+# zero budget would fund them without its own branch
+@example(([[1.5499712299535262, math.inf, 1.5499712299535249, 1.5499712299535255,
+            1.549971229953526, 1.5499712299535262]], 0.0))
+def test_subset_tables_are_the_rate_of_every_subset(matrix):
+    # an infinite noise is never funded: each entry is the rate of the
+    # subset's finite members, or 0 when it has none
+    rows, budget = matrix
+    n = len(rows[0])
+    tables = _subset_tables(rows, budget)
+    assert tables.shape == (len(rows), 1 << n)
+    for row, table in zip(rows, tables.tolist()):
+        finite = [t for t in range(n) if row[t] < math.inf]
+        p = NoiseProfile([row[t] for t in finite], budget, finite)
+        assert [rate.hex() for rate in table] == [
+            rate_of_subset(p, [t for t in finite if mask >> t & 1]).hex()
+            for mask in range(1 << n)]
 
 
 def test_rate_of_subset_rejects_unknown_ids_at_any_budget():
