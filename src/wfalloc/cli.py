@@ -101,19 +101,20 @@ def _cmd_check_submodular(args):
                                    lambda s: rate_of_subset(profile, s.intersection(profile.ids)))
     else:
         oracle = rate_oracle(NoiseProfile(_parse_reals(args.noises, "--noises"), args.power))
+    tolerance = args.tolerance + 0.0  # -0.0 + 0.0 is 0.0, so -0.0 prints as 0
     # check before the first print, so a rejected input prints nothing
-    pairwise = check_submodular_pairwise(oracle, tolerance=args.tolerance)
+    pairwise = check_submodular_pairwise(oracle, tolerance=tolerance)
     u = len(oracle.ground_set)
-    print(f"ground_set: {u} elements, tolerance {args.tolerance:g}")
+    print(f"ground_set: {u} elements, tolerance {tolerance:g}")
     triples = u * (u - 1) // 2 * (1 << max(u - 2, 0))
     print(f"pairwise: {len(pairwise)} violations in {triples} triples")
     if args.output is not None:
         violations_to_csv(pairwise, args.output)
         print(f"pairwise violations written to {args.output}")
     if u <= MONOTONE_SETPAIR_CAP:
-        monotone = check_monotone(oracle, tolerance=args.tolerance)
+        monotone = check_monotone(oracle, tolerance=tolerance)
         print(f"monotone: {len(monotone)} violations")
-        setpair = check_setpair_submodular(oracle, tolerance=args.tolerance)
+        setpair = check_setpair_submodular(oracle, tolerance=tolerance)
         print(f"setpair: {len(setpair)} violations")
     else:
         print(f"monotone: skipped (ground set above cap {MONOTONE_SETPAIR_CAP})")

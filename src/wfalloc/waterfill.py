@@ -46,7 +46,7 @@ class NoiseProfile:
         for x in self.noises:
             if not math.isfinite(x) or x <= 0.0:
                 raise ValueError(f"noise variances must be positive and finite, got {x}")
-        self.budget = float(budget)
+        self.budget = float(budget) + 0.0  # -0.0 + 0.0 is 0.0, so a -0.0 budget prints as 0
         if not (math.isfinite(self.budget) and self.budget >= 0.0):
             raise ValueError(f"power budget must be finite and nonnegative, got {budget}")
         if self.noises:

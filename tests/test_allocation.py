@@ -352,15 +352,136 @@ def test_greedy_solves_a_station_whose_bound_ties_the_best(monkeypatch):
 def test_greedy_solves_few_stations_per_arrival(monkeypatch):
     # a guard against the pruning silently switching off: scoring every
     # station not past its cutoff took 8.5 (marginal) and 15.3 (absolute)
-    # solves per arrival here; pruning by the gain bound takes 1.4 and 0.3
-    W = generate(ProfileSpec("iid_ten", 400, 16, 1))
-    calls = []
-    scan = allocation._scan
-    monkeypatch.setattr(allocation, "_scan", lambda *args: calls.append(args) or scan(*args))
-    for mode, most in (("marginal_gain", 1.5), ("absolute_value", 0.5)):
-        calls.clear()
-        online_greedy(W, mode)
-        assert len(calls) <= most * W.n
+    # solves per arrival on iid-ten; pruning by the gain bound takes 1.4 and
+    # 0.3. Marginal mode's counts are pinned exactly, so any added work shows.
+    # In absolute mode the best-first visits bound 0.36 stations per arrival
+    # on iid-ten and 0.18 on correlated, where bounding every station not
+    # past its cutoff took 15.3 and 15.1.
+    scans, bounds = [], []
+    scan, gain_bound = allocation._scan, allocation._gain_bound
+    monkeypatch.setattr(allocation, "_scan", lambda *args: scans.append(args) or scan(*args))
+    monkeypatch.setattr(allocation, "_gain_bound", lambda *args: bounds.append(args) or gain_bound(*args))
+    for kind, marginal_counts in (("iid_ten", (563, 3417)), ("correlated", (485, 2856))):
+        W = generate(ProfileSpec(kind, 400, 16, 1))
+        for mode, most in (("marginal_gain", 1.5), ("absolute_value", 0.5)):
+            scans.clear()
+            bounds.clear()
+            online_greedy(W, mode)
+            assert len(scans) <= most * W.n
+            if mode == "marginal_gain":
+                assert (len(scans), len(bounds)) == marginal_counts
+            else:
+                assert len(bounds) <= W.n
+
+
+def copied_column_matrix(rng):
+    """8 to 16 stations, each a copy of one of a few base columns of small
+    integer SNRs: copies hold equal utilities and tie on every score."""
+    n, m = int(rng.integers(4, 25)), int(rng.integers(8, 17))
+    base = rng.integers(0, 4, (n, int(rng.integers(2, 5)))).astype(float)
+    return WeightMatrix(base[:, rng.integers(0, base.shape[1], m)])
+
+
+def test_greedy_absolute_breaks_ties_to_lowest_index_in_visit_order(monkeypatch):
+    # copied stations tie at different visit positions; the lowest index must
+    # win as in the index-order reference, both with the early exit and
+    # visiting every station (an infinite coarse margin), and the exit must
+    # skip most of the bounds that visiting every station computes
+    bounds = []
+    gain_bound = allocation._gain_bound
+    monkeypatch.setattr(allocation, "_gain_bound", lambda *args: bounds.append(args) or gain_bound(*args))
+    counts = []
+    for margin in (allocation._coarse_margin, lambda w_max, slack_max, util_max: math.inf):
+        monkeypatch.setattr(allocation, "_coarse_margin", margin)
+        rng = np.random.default_rng(95)
+        bounds.clear()
+        for _ in range(60):
+            W = copied_column_matrix(rng)
+            assert online_greedy(W, "absolute_value").parts == greedy_by_hand(W, "absolute_value")
+        counts.append(len(bounds))
+    with_exit, every_station = counts  # 1,274 and 7,601
+    assert with_exit < every_station / 2
+
+
+def test_greedy_absolute_visit_order_is_utility_then_index():
+    # the order absolute mode visits in, read from the suspended generator,
+    # is descending utility with ties by ascending index after every arrival
+    rng = np.random.default_rng(96)
+    for _ in range(40):
+        W = copied_column_matrix(rng)
+        arrivals = allocation._greedy_arrivals(W, False)
+        for _, utils in arrivals:
+            order = arrivals.gi_frame.f_locals["order"]
+            assert order == sorted(range(W.m), key=lambda j: (-utils[j], j))
+
+
+# x alone has a computed utility one ulp above the pair x, c: c's noise sits
+# just below x's level, and the rounded two-channel rate falls
+NON_MONOTONE_PAIR = (2.4558498082097246, 0.7106355728699795)
+
+
+def test_greedy_absolute_scored_station_wins_a_tie_after_a_solve(monkeypatch):
+    # bounds made exactly the scores: the coarse margin is the row's largest
+    # exact gain and each gain bound is the exact gain. At the last arrival
+    # station 1 (utility L{x}) is visited first and solved to L{x, c}, which
+    # station 0's coarse bound equals. Station 0 must still be visited, and
+    # its score L{x, c} without a solve wins the tie by its lower index.
+    x, c = NON_MONOTONE_PAIR
+    assert log_utility([x, c]) < log_utility([x])
+    held = {0.0: [], log_utility([x]): [x]}
+    monkeypatch.setattr(allocation, "_gain_bound",
+                        lambda w, level, slack, util: log_utility(held[util] + [w]) - util)
+    monkeypatch.setattr(allocation, "_coarse_margin",
+                        lambda w_max, slack_max, util_max: log_utility([x]) if w_max == x else 0.0)
+    W = WeightMatrix([[x, 0.0], [c, 0.0], [0.0, x], [0.0, c]])
+    assert greedy_by_hand(W, "absolute_value") == (frozenset({0, 1, 3}), frozenset({2}))
+    assert online_greedy(W, "absolute_value").parts == greedy_by_hand(W, "absolute_value")
+
+
+@st.composite
+def stations_and_rows(draw):
+    """Up to 5 stations' SNRs and a row with one arriving SNR per station:
+    float edges (subnormals, zeros, -0.0), tied noises, or an arrival
+    within 3 ulps of its station's level."""
+    states = [draw(stations_and_arrivals()) for _ in range(draw(st.integers(1, 5)))]
+    if draw(st.booleans()) and draw(st.booleans()):
+        states = [(snrs, draw(st.sampled_from((0.0, -0.0)))) for snrs, _ in states]
+    return states
+
+
+@settings(derandomize=True, database=None, max_examples=400)
+@example([([2.1497270091727056, 0.6825121678520782], 0.6825121678520782), ([], 5e-324)])
+@example([([1e308, 5.0], 1e-310), ([0.0], -0.0), ([3.0], 1.7e308)])
+@given(stations_and_rows())
+def test_coarse_margin_covers_every_computed_bound(states):
+    # absolute mode's coarse bound of a station, its utility plus the margin,
+    # is at least the bound of every station with no larger utility, that is
+    # of every station it is visited before or ties; the first example is
+    # the profile whose level sits one ulp above its dry noise
+    stations = [station_state(snrs) for snrs, _ in states]
+    row = [w for _, w in states]
+    margin = allocation._coarse_margin(max(row), max(s[3] for s in stations),
+                                       max(s[2] for s in stations))
+    for (_, level, util, slack), w in zip(stations, row):
+        if w:
+            bound = allocation._gain_bound(w, level, slack, util)
+            assert bound <= margin
+            for ahead in (s[2] for s in stations if s[2] >= util):
+                assert util + bound <= ahead + margin
+
+
+def test_coarse_margin_covers_a_log1p_one_ulp_off_monotone(monkeypatch):
+    # a log1p that rounds up by one ulp everywhere but at the row's largest
+    # SNR, as a faithful but not monotone log1p may: the SNR just below
+    # then gets a larger log1p, which the cap's ulp raise must still cover
+    log1p = math.log1p
+    for w_max in (1e-300, 1e-20, 0.3, 1.0, 7.0, 1e12, 1.7e308):
+        w = math.nextafter(w_max, 0.0)
+        monkeypatch.setattr(math, "log1p", lambda x: log1p(x) if x == w_max else math.nextafter(log1p(x), math.inf))
+        margin = allocation._coarse_margin(w_max, 4 * 2.0 ** -50, 0.0)
+        bound = allocation._gain_bound(w, math.inf, 4 * 2.0 ** -50, 0.0)
+        monkeypatch.undo()
+        assert bound <= margin
 
 
 # --- max weight -----------------------------------------------------------

@@ -200,6 +200,19 @@ def test_check_submodular_certifies_subnormal_noises_at_the_default_tolerance(ca
     assert "pairwise: 0 violations in 80 triples" not in out.splitlines()
 
 
+def test_minus_zero_budget_and_tolerance_print_as_zero(capsys):
+    # -0.0 == 0.0, so nothing is computed differently; only the echo changes
+    code, out, err = run_cli(capsys, "waterfill", "--snrs", "1,2", "--power", "-0.0")
+    assert (code, err) == (0, "")
+    assert out == ("channels: 2\nbudget: 0\nwater_level: none\nactive_set: \n"
+                   "power 0: 0\npower 1: 0\nrate_nats: 0\n")
+    code, out, err = run_cli(capsys, "check-submodular", "--noises", "1,2,3", "--tolerance", "-0.0")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "ground_set: 3 elements, tolerance 0"
+    assert out.splitlines()[1:] == run_cli(capsys, "check-submodular", "--noises", "1,2,3",
+                                           "--tolerance", "0")[1].splitlines()[1:]
+
+
 def test_check_submodular_rejects_non_finite_snrs_before_checking(capsys):
     code, out, err = run_cli(capsys, "check-submodular", "--snrs", "nan,5")
     assert code == 2

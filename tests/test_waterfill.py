@@ -112,6 +112,10 @@ def test_waterfill_empty_and_zero_budget_conventions():
     assert sol.powers == {0: 0.0, 1: 0.0} and sol.active_set == frozenset()
 
 
+def test_profile_stores_a_minus_zero_budget_as_zero():
+    assert math.copysign(1.0, NoiseProfile([1.0], -0.0).budget) == 1.0
+
+
 def test_waterfill_inactive_channel_example():
     sol = waterfill(NoiseProfile([1.0, 3.0], 1.0))
     assert sol.powers == {0: 1.0, 1: 0.0}
