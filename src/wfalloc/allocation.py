@@ -146,10 +146,10 @@ def online_greedy(W, mode="marginal_gain"):
       power priced at 1/level, the dual of M_j + i exceeds L(M_j) by
       h(level * w) alone, where h(r) = log r - 1 + 1/r for r > 1 and 0
       otherwise. An empty station has no level and takes log(1 + w).
-      Stations are solved in descending order of their bound plus margin
-      (plus L(M_j) in ``absolute_value`` mode), each once by ``_scan``,
-      until the next one is below the best score found. One equal to it is
-      still solved, so the lower index wins the tie.
+      A station whose bound plus margin (plus L(M_j) in ``absolute_value``
+      mode) is below the best score found is skipped; any other is solved
+      once by ``_scan``. One equal to it is still solved, so the lower index
+      wins the tie.
     * The margin is (n+2)^2 2^-50 (1 + L(M_j) + bound), the cutoff's factor
       times the rates in play, which covers the rounding between the
       computed score and the computed bound. A rate ``_scan`` returns for
@@ -167,20 +167,21 @@ def online_greedy(W, mode="marginal_gain"):
       margin is below the best score has a computed score below it too,
       and could not have won or tied.
     * In ``marginal_gain`` mode every station is scored or bounded, in
-      index order, before any is solved. In ``absolute_value`` mode the
-      stations are kept in descending order of L(M_j), ties by index, and
-      visited best first: the station that joined moves by adjacent swaps.
-      Station j's coarse bound is L(M_j) + cap + smax (1 + umax + cap),
-      with cap = log1p of the row's largest SNR raised by 4 ulps, smax the
-      largest slack and umax the largest utility. Float + and * are
-      monotone, so it is at least the computed L(M_k) + bound + margin,
-      and so the score, of every station k visited after j or tied with
-      it; the raise keeps that where log1p is one ulp off monotone.
-      Before each visit the pending stations whose bound reaches its coarse
-      bound are solved, and visiting stops at the first coarse bound below
-      the best score. When the richest station wins, its solve usually
-      ends the visits. Visits are not in index order, so a station scored
-      without a solve also wins a tie only by a lower index.
+      index order, and the bounded ones are then solved in descending order
+      of bound until the next is below the best score. In
+      ``absolute_value`` mode the stations are kept in descending order of
+      L(M_j), ties by index, and visited best first: the station that
+      joined moves by adjacent swaps. Station j's coarse bound is
+      L(M_j) + cap + smax (1 + umax + cap), with cap = log1p of the row's
+      largest SNR raised by 4 ulps, smax the largest slack and umax the
+      largest utility. Float + and * are monotone, so it is at least the
+      computed L(M_k) + bound + margin, and so the score, of every station
+      k visited after j or tied with it; the raise keeps that where log1p
+      is one ulp off monotone. Visiting stops at the first coarse bound
+      below the best score, and each visited station is bounded and, unless
+      skipped, solved at once. When the richest station wins, its solve
+      usually ends the visits. Visits are not in index order, so a station scored without a
+      solve also wins a tie only by a lower index.
     * A channel pushed below water stays dry in exact arithmetic, but it
       is kept: a rounded level can sit above a dry noise, and a later user
       can fund it again, where a station that had dropped it would score
@@ -205,63 +206,55 @@ def _greedy_arrivals(W, marginal):
     utils = [0.0] * m
     order, slack_max = list(range(m)), slacks[0]  # absolute_value mode's visit order
     for row in W.weights.tolist():
-        best_j, best_score, best_value, best_state = 0, -math.inf, 0.0, None
-        pending = []
+        best_j, best_score, best_state = 0, -math.inf, None  # state: (noises, level, utility)
         if marginal:
+            pending = []
             for j, w in enumerate(row):
                 # waterfill._snr_noises' rule, inline for W's validated SNRs: calling
                 # it per station made 400x16 greedy 49% slower (2-vCPU Xeon, in-process)
                 noise = 1.0 / w if w else math.inf
                 if noise >= cutoffs[j]:
                     if 0.0 > best_score:
-                        best_j, best_score, best_value = j, 0.0, utils[j]
+                        best_j, best_score = j, 0.0
                     continue
                 pending.append((_gain_bound(w, levels[j], slacks[j], utils[j]), j, noise))
+            pending.sort(reverse=True)
+            for bound, j, noise in pending:
+                if bound < best_score:
+                    break
+                cand = noises[j].copy()
+                insort(cand, noise)
+                level, _, value = _scan(cand, 1.0)
+                score = value - utils[j]
+                if score > best_score or (score == best_score and j < best_j):
+                    best_j, best_score, best_state = j, score, (cand, level, value)
         else:
             margin = _coarse_margin(max(row), slack_max, utils[order[0]])
             for j in order:
-                coarse = utils[j] + margin
-                # pending stays ascending: solve, best first, every station that
-                # could beat station j and all after it
-                while pending and pending[-1][0] >= coarse:
-                    bound, k, noise = pending.pop()
-                    if bound < best_score:
-                        break
-                    cand = noises[k].copy()
-                    insort(cand, noise)
-                    level, _, value = _scan(cand, 1.0)
-                    if value > best_score or (value == best_score and k < best_j):
-                        best_j, best_score, best_value, best_state = k, value, value, (cand, level)
-                if coarse < best_score:
-                    break
+                if utils[j] + margin < best_score:
+                    break  # so is every later station's bound
                 w = row[j]
                 noise = 1.0 / w if w else math.inf
                 if noise >= cutoffs[j]:
-                    if utils[j] > best_score or (utils[j] == best_score and j < best_j):
-                        best_j, best_score, best_value, best_state = j, utils[j], utils[j], None
+                    score, state = utils[j], None
+                elif utils[j] + _gain_bound(w, levels[j], slacks[j], utils[j]) < best_score:
                     continue
-                insort(pending, (utils[j] + _gain_bound(w, levels[j], slacks[j], utils[j]), j, noise))
-        pending.sort(reverse=True)
-        for bound, j, noise in pending:
-            if bound < best_score:
-                break
-            cand = noises[j].copy()
-            insort(cand, noise)
-            level, _, value = _scan(cand, 1.0)
-            score = value - utils[j] if marginal else value
-            if score > best_score or (score == best_score and j < best_j):
-                best_j, best_score, best_value, best_state = j, score, value, (cand, level)
+                else:
+                    cand = noises[j].copy()
+                    insort(cand, noise)
+                    level, _, score = _scan(cand, 1.0)
+                    state = (cand, level, score)
+                if score > best_score or (score == best_score and j < best_j):
+                    best_j, best_score, best_state = j, score, state
         if best_state is not None:
-            cand, level = best_state
-            noises[best_j], levels[best_j] = cand, level
-            slacks[best_j] = (len(cand) + 2) ** 2 * 2.0 ** -50
-            cutoffs[best_j] = level * (1.0 + slacks[best_j])
-        utils[best_j] = best_value
+            noises[best_j], levels[best_j], utils[best_j] = best_state
+            slacks[best_j] = (len(noises[best_j]) + 2) ** 2 * 2.0 ** -50
+            cutoffs[best_j] = levels[best_j] * (1.0 + slacks[best_j])
         if not marginal:
             slack_max = max(slack_max, slacks[best_j])
             # keep order sorted by (-utility, index): only best_j moved (a
             # rounded utility can also fall), so adjacent swaps restore it
-            key, i = (-best_value, best_j), order.index(best_j)
+            key, i = (-utils[best_j], best_j), order.index(best_j)
             while i and (-utils[order[i - 1]], order[i - 1]) > key:
                 order[i - 1], order[i] = best_j, order[i - 1]
                 i -= 1

@@ -102,14 +102,16 @@ def _cmd_check_submodular(args):
     else:
         oracle = rate_oracle(NoiseProfile(_parse_reals(args.noises, "--noises"), args.power))
     tolerance = args.tolerance + 0.0  # -0.0 + 0.0 is 0.0, so -0.0 prints as 0
-    # check before the first print, so a rejected input prints nothing
+    # check and write before the first print, so a rejected input or an
+    # unwritable --output prints nothing
     pairwise = check_submodular_pairwise(oracle, tolerance=tolerance)
+    if args.output is not None:
+        violations_to_csv(pairwise, args.output)
     u = len(oracle.ground_set)
     print(f"ground_set: {u} elements, tolerance {tolerance:g}")
     triples = u * (u - 1) // 2 * (1 << max(u - 2, 0))
     print(f"pairwise: {len(pairwise)} violations in {triples} triples")
     if args.output is not None:
-        violations_to_csv(pairwise, args.output)
         print(f"pairwise violations written to {args.output}")
     if u <= MONOTONE_SETPAIR_CAP:
         monotone = check_monotone(oracle, tolerance=tolerance)

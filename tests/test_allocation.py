@@ -347,30 +347,35 @@ def test_greedy_solves_a_station_whose_bound_ties_the_best(monkeypatch):
     W = WeightMatrix([[5.0, 5.0, 5.0]])
     for mode in GREEDY_MODES:
         assert online_greedy(W, mode).parts == (frozenset({0}), frozenset(), frozenset())
+    # in absolute mode the richer station 1 is visited and solved first, to
+    # L{3, 3}, which is L{5.25} bit for bit: empty station 0's bound ties it,
+    # and only its solve wins the second user by the lower index
+    assert log_utility([3.0, 3.0]) == log_utility([5.25])
+    W = WeightMatrix([[0.0, 3.0], [5.25, 3.0]])
+    assert online_greedy(W, "absolute_value").parts == (frozenset({1}), frozenset({0}))
 
 
 def test_greedy_solves_few_stations_per_arrival(monkeypatch):
     # a guard against the pruning silently switching off: scoring every
     # station not past its cutoff took 8.5 (marginal) and 15.3 (absolute)
     # solves per arrival on iid-ten; pruning by the gain bound takes 1.4 and
-    # 0.3. Marginal mode's counts are pinned exactly, so any added work shows.
-    # In absolute mode the best-first visits bound 0.36 stations per arrival
-    # on iid-ten and 0.18 on correlated, where bounding every station not
-    # past its cutoff took 15.3 and 15.1.
+    # 0.33. In absolute mode the best-first visits bound 0.36 stations per
+    # arrival on iid-ten and 0.18 on correlated, where bounding every station
+    # not past its cutoff took 15.3 and 15.1. Both modes' (solves, bounds)
+    # counts are pinned exactly, so any added work shows.
     scans, bounds = [], []
     scan, gain_bound = allocation._scan, allocation._gain_bound
     monkeypatch.setattr(allocation, "_scan", lambda *args: scans.append(args) or scan(*args))
     monkeypatch.setattr(allocation, "_gain_bound", lambda *args: bounds.append(args) or gain_bound(*args))
-    for kind, marginal_counts in (("iid_ten", (563, 3417)), ("correlated", (485, 2856))):
+    for kind, counts in (("iid_ten", ((563, 3417), (132, 146))), ("correlated", ((485, 2856), (58, 71)))):
         W = generate(ProfileSpec(kind, 400, 16, 1))
-        for mode, most in (("marginal_gain", 1.5), ("absolute_value", 0.5)):
+        for mode, most, exact in zip(GREEDY_MODES, (1.5, 0.5), counts):
             scans.clear()
             bounds.clear()
             online_greedy(W, mode)
             assert len(scans) <= most * W.n
-            if mode == "marginal_gain":
-                assert (len(scans), len(bounds)) == marginal_counts
-            else:
+            assert (len(scans), len(bounds)) == exact
+            if mode == "absolute_value":
                 assert len(bounds) <= W.n
 
 

@@ -159,6 +159,13 @@ def test_check_submodular_snrs_and_dump(capsys, tmp_path):
     assert dump.read_text().startswith("base_set,i,j,lhs,rhs,gap")
 
 
+def test_check_submodular_unwritable_output_prints_nothing(capsys, tmp_path):
+    dump = tmp_path / "missing" / "violations.csv"
+    code, out, err = run_cli(capsys, "check-submodular", "--noises", "1,2,3", "--output", str(dump))
+    assert (code, out) == (4, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{dump}'\n"
+
+
 def test_check_submodular_snrs_exact_stdout(capsys):
     code, out, err = run_cli(capsys, "check-submodular", "--snrs", "10,5,0")
     assert code == 0
