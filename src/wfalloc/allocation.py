@@ -11,10 +11,10 @@ user subsets, desk scale only) or from an analytic upper bound.
 import math
 from bisect import insort
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
+from .submodular import _pair_index
 from .waterfill import _scan, _subset_tables, log_utility
 
 __all__ = [
@@ -328,36 +328,6 @@ def _subset_utilities(W):
         # it per column made the n=1, m=10^5 tables 18% slower (2-vCPU Xeon, in-process)
         noises = np.where(W.weights.T > 0.0, 1.0 / W.weights.T, math.inf)
     return _subset_tables(noises, 1.0)
-
-
-@cache
-def _pair_index(n):
-    """Every (mask ^ T, T) pair with T a submask of an n-bit mask, ordered by
-    mask and, within a mask, by T descending: 3^n pairs as two read-only
-    int32 arrays, with the start and the size of each mask's group.
-
-    Built one bit b at a time: the pairs so far are those of the masks
-    without b, and the group of mask M + b is M's group with b added to
-    each T, then M's group again with b added to mask ^ T. The brute-force
-    cap keeps n <= 12 wherever a fold step runs, so the cache holds at most
-    a few MB.
-    """
-    rest = share = np.zeros(1, np.int32)
-    starts = np.zeros(1, np.intp)
-    for b in range(n):
-        size = len(share)
-        sizes = np.diff(starts, append=size)
-        rest_next, share_next = np.empty(3 * size, np.int32), np.empty(3 * size, np.int32)
-        rest_next[:size], share_next[:size] = rest, share
-        at = np.repeat(starts, sizes) + np.arange(size, 2 * size)
-        rest_next[at], share_next[at] = rest, share | (1 << b)
-        at += np.repeat(sizes, sizes)
-        rest_next[at], share_next[at] = rest | (1 << b), share
-        rest, share, starts = rest_next, share_next, np.concatenate([starts, size + 2 * starts])
-    index = rest, share, starts, np.diff(starts, append=len(share))
-    for array in index:
-        array.setflags(write=False)
-    return index
 
 
 def offline_bruteforce(W):

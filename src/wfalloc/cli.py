@@ -13,7 +13,7 @@ from .allocation import (STRATEGIES, InstanceTooLargeError, ratio_value, referen
                          run_strategy, system_utility)
 from .experiments import _fmt, evaluate_strategies, run_experiment, summarize, write_records_csv
 from .lemmas import rate_oracle
-from .profiles import PRNG_ALGORITHM, PROFILE_KINDS, ProfileSpec, generate, replay_from_csv
+from .profiles import PRNG_ALGORITHM, PROFILE_KINDS, ProfileSpec, _check_seed, generate, replay_from_csv
 from .submodular import (
     MONOTONE_SETPAIR_CAP,
     GroundSetTooLargeError,
@@ -113,14 +113,11 @@ def _cmd_check_submodular(args):
     print(f"pairwise: {len(pairwise)} violations in {triples} triples")
     if args.output is not None:
         print(f"pairwise violations written to {args.output}")
-    if u <= MONOTONE_SETPAIR_CAP:
-        monotone = check_monotone(oracle, tolerance=tolerance)
-        print(f"monotone: {len(monotone)} violations")
-        setpair = check_setpair_submodular(oracle, tolerance=tolerance)
-        print(f"setpair: {len(setpair)} violations")
-    else:
-        print(f"monotone: skipped (ground set above cap {MONOTONE_SETPAIR_CAP})")
-        print(f"setpair: skipped (ground set above cap {MONOTONE_SETPAIR_CAP})")
+    for name, check in (("monotone", check_monotone), ("setpair", check_setpair_submodular)):
+        if u <= MONOTONE_SETPAIR_CAP:
+            print(f"{name}: {len(check(oracle, tolerance=tolerance))} violations")
+        else:
+            print(f"{name}: skipped (ground set above cap {MONOTONE_SETPAIR_CAP})")
     return EXIT_OK
 
 
@@ -161,10 +158,10 @@ def _cmd_ratio_experiment(args):
     reference_kind = _REFERENCE_BY_FLAG[args.reference]
     seed = args.seed or 0  # recorded in the CSV, so also valid with --input
     if _replaying(args, "trials"):
+        _check_seed(seed)  # a generated run's ProfileSpec checks its own
         W = replay_from_csv(args.input)
-        records = evaluate_strategies(
-            W, strategies, reference_kind,
-            trial=0, profile_name="replay", seed=seed)
+        records = evaluate_strategies(W, strategies, reference_kind,
+                                      trial=0, profile_name="replay", seed=seed)
     else:
         records = run_experiment(
             args.profile, args.users, args.basestations, 1 if args.trials is None else args.trials,

@@ -32,6 +32,11 @@ _THREE_PICK_KINDS = ("sparse_strong", "correlated")
 PRNG_ALGORITHM = "numpy PCG64"
 
 
+def _check_seed(seed):
+    if not (isinstance(seed, numbers.Integral) and 0 <= seed < 2**64):
+        raise ValueError(f"seed must be an unsigned 64-bit integer, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class ProfileSpec:
     """Which profile to draw: kind, user count n, basestation count m, seed.
@@ -55,8 +60,7 @@ class ProfileSpec:
             raise ValueError("n and m must be at least 1")
         if self.kind in _THREE_PICK_KINDS and self.m < 3:
             raise ValueError(f"profile {self.kind!r} picks 3 basestations per user and needs m >= 3")
-        if not (isinstance(self.seed, numbers.Integral) and 0 <= self.seed < 2**64):
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed!r}")
+        _check_seed(self.seed)
 
 
 def generate(spec: ProfileSpec) -> WeightMatrix:

@@ -348,6 +348,37 @@ def test_ratio_experiment_replay(capsys, tmp_path):
     assert out.splitlines()[1].endswith(",7")  # the seed is recorded, so it may go with --input
 
 
+REPLAY_RECORDS = (
+    "0,4,2,replay,greedy,1.31264836916,1.36554354977,brute_force_optimum,1.04029653475,{seed}\n"
+    "0,4,2,replay,max-weight,1.36554354977,1.36554354977,brute_force_optimum,1,{seed}\n"
+)
+
+
+@pytest.mark.parametrize("seed", ["-1", str(2**64), "-5", str(2**70)])
+def test_ratio_experiment_replay_rejects_a_seed_a_profile_rejects(capsys, tmp_path, seed):
+    # a replayed seed is recorded in the CSV, so it obeys ProfileSpec's seed rule
+    path = tmp_path / "w.csv"
+    write_weights_csv(generate(ProfileSpec("iid_unit", 4, 2, 8)), path)
+    code, out, err = run_cli(capsys, "ratio-experiment", "--input", str(path), "--seed", seed)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: seed must be an unsigned 64-bit integer, got {seed}\n"
+    generated = run_cli(capsys, "ratio-experiment", "--users", "4", "--basestations", "2",
+                        "--profile", "iid-unit", "--seed", seed)
+    assert generated == (code, out, err)
+
+
+@pytest.mark.parametrize("seed", ["0", str(2**64 - 1)])
+def test_ratio_experiment_replay_records_a_valid_seed(capsys, tmp_path, seed):
+    path = tmp_path / "w.csv"
+    write_weights_csv(generate(ProfileSpec("iid_unit", 4, 2, 8)), path)
+    code, out, _ = run_cli(capsys, "ratio-experiment", "--input", str(path), "--seed", seed,
+                           "--reference", "brute-force", "--strategy", "greedy",
+                           "--strategy", "max-weight")
+    assert code == 0
+    assert out == RECORD_HEADER + "\n" + REPLAY_RECORDS.format(seed=seed)
+
+
 def test_ratio_experiment_replay_with_overflowing_noises(capsys, tmp_path):
     path = tmp_path / "w.csv"
     write_weights_csv(WeightMatrix([[1e-310, 0.0], [1e-310, 1e-310]]), path)

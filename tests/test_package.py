@@ -25,3 +25,10 @@ def test_only_waterfill_binds_the_subset_kernel():
     assert hasattr(sys.modules["wfalloc.waterfill"], "_subset_rates")
     for mod in [mod for mod in MODULES if mod != "waterfill"] + ["cli"]:
         assert not hasattr(importlib.import_module(f"wfalloc.{mod}"), "_subset_rates"), mod
+
+
+def test_pair_index_has_one_definition_in_submodular():
+    # the exact optimum and the monotone check walk the same nested-pair index
+    allocation, submodular = sys.modules["wfalloc.allocation"], sys.modules["wfalloc.submodular"]
+    assert allocation._pair_index is submodular._pair_index
+    assert submodular._pair_index.__wrapped__.__module__ == "wfalloc.submodular"

@@ -11,6 +11,7 @@ from wfalloc.lemmas import rate_oracle
 from wfalloc.submodular import (
     GroundSetTooLargeError,
     SetFunctionOracle,
+    _pair_index,
     check_monotone,
     check_setpair_submodular,
     check_submodular_pairwise,
@@ -118,6 +119,23 @@ def test_monotone_waterfilling_rate_clean():
 def test_monotone_cap():
     with pytest.raises(GroundSetTooLargeError):
         check_monotone(oracle_from(MODULAR, 9))
+
+
+def test_pair_index_lists_every_nested_pair_by_mask_then_subset_descending():
+    for n in range(7):
+        expected = [(mask ^ sub, sub) for mask in range(1 << n)
+                    for sub in range(mask, -1, -1) if sub & mask == sub]
+        rest, share, starts, sizes = _pair_index(n)
+        assert len(expected) == 3**n
+        assert list(zip(rest.tolist(), share.tolist())) == expected
+        assert len(starts) == len(sizes) == 1 << n
+        for mask in range(1 << n):
+            group = slice(starts[mask], starts[mask] + sizes[mask])
+            assert (rest[group] | share[group] == mask).all()
+            assert sizes[mask] == 1 << bin(mask).count("1")
+        assert starts[0] == 0 and starts[-1] + sizes[-1] == 3**n
+        for array in (rest, share, starts, sizes):
+            assert not array.flags.writeable
 
 
 # --- all three checks ----------------------------------------------------
