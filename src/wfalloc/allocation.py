@@ -339,9 +339,11 @@ def offline_bruteforce(W):
     ``_subset_utilities``. Each step is one numpy max-plus reduction over
     the (S - T, T) pairs of ``_pair_index``. Each candidate is the one
     float addition best_{j-1}[S - T] + f_j(T), so every value equals a
-    scalar loop's bit for bit. On ties the last station takes the
-    largest user bitmask, then each earlier station likewise among the
-    users left. Raises InstanceTooLargeError when m^n exceeds the cap.
+    scalar loop's bit for bit. The decode walks back from the last station
+    and reads one group per station, that of the users left. On ties the
+    last station takes the largest user bitmask, then each earlier station
+    likewise among the users left: its group lists T descending, so its
+    first maximum. Raises InstanceTooLargeError when m^n exceeds the cap.
     Returns (allocation, value) with the value recomputed through
     system_utility for consistency with other callers.
     """
@@ -360,15 +362,14 @@ def offline_bruteforce(W):
         for j, row in enumerate(candidates):
             row += bests[j][rest_of]  # unlike take, indexing casts the int32 index in a small buffer
             np.maximum.reduceat(row, starts, out=bests[j + 1])
-        # the largest T reaching its group's maximum: the first in the group
-        shares = np.maximum.reduceat(share_of * (candidates == np.repeat(bests[1:], sizes, axis=1)),
-                                     starts, axis=1).tolist()
     # entry i leaves users i to the earlier stations and all ^ i to the last;
     # the first maximum is the smallest i, so the last station's largest T
     rest = int((bests[-1] + tables[-1][::-1]).argmax())
     masks = [rest ^ ((1 << n) - 1)]
     for j in range(m - 3, -1, -1):
-        masks.append(shares[j][rest])
+        # the largest T reaching rest's group maximum: the first in the group
+        at = starts[rest]
+        masks.append(int(share_of[at + candidates[j, at:at + sizes[rest]].argmax()]))
         rest ^= masks[-1]
     masks.append(rest)
     alloc = Allocation(tuple(frozenset(u for u in range(n) if mask >> u & 1)

@@ -9,7 +9,6 @@ than a sampled verdict. Oversized ground sets are rejected, never sampled.
 import csv
 import math
 from dataclasses import dataclass
-from functools import cache
 from itertools import accumulate
 from typing import Callable
 
@@ -32,6 +31,7 @@ __all__ = [
 MONOTONE_SETPAIR_CAP = 8  # default cap of the checks that compare pairs of subsets
 _BLOCK = 1 << 13  # gap entries compared per numpy block
 _SLICE = 1 << 10  # pairwise violations decoded per slice
+_PAIR_INDEXES = {}  # _pair_index(n) for n <= 12, the largest brute-force fold (3^12 <= 10^6 < 3^13)
 
 
 class GroundSetTooLargeError(ValueError):
@@ -189,7 +189,6 @@ def check_setpair_submodular(oracle, tolerance=1e-9, max_ground_size=MONOTONE_SE
     return violations
 
 
-@cache
 def _pair_index(n):
     """Every (mask ^ T, T) pair with T a submask of an n-bit mask, ordered by
     mask and, within a mask, by T descending: 3^n pairs as two read-only
@@ -197,11 +196,13 @@ def _pair_index(n):
 
     Built one bit b at a time: the pairs so far are those of the masks
     without b, and the group of mask M + b is M's group with b added to
-    each T, then M's group again with b added to mask ^ T. The callers
-    bound the cache: brute force folds only at n <= 12, and
-    ``check_monotone`` only at n <= its ``max_ground_size`` (8 by default,
-    12 in the tests: 531,441 pairs, a few MB).
+    each T, then M's group again with b added to mask ^ T. Only n <= 12 is
+    cached (531,441 pairs, a few MB): brute force folds at n <= 12, and
+    ``check_monotone`` at n <= its ``max_ground_size``, 8 by default. A
+    larger index is built for its call and freed with it.
     """
+    if n in _PAIR_INDEXES:
+        return _PAIR_INDEXES[n]
     rest = share = np.zeros(1, np.int32)
     starts = np.zeros(1, np.intp)
     for b in range(n):
@@ -217,6 +218,8 @@ def _pair_index(n):
     index = rest, share, starts, np.diff(starts, append=len(share))
     for array in index:
         array.setflags(write=False)
+    if n <= 12:
+        _PAIR_INDEXES[n] = index
     return index
 
 

@@ -15,7 +15,6 @@ log (nats).
 """
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -140,75 +139,79 @@ def _scan(sorted_noises, budget):
     return level, k, rate
 
 
-def _subset_rates(sorted_noises, budget):
-    """``_scan``'s rate for every subset of the ascending noises, by bitmask:
-    bit i is sorted_noises[i], and the empty subset has rate 0.
+_BLOCK = 1 << 13  # funded subsets whose logs are taken per numpy block
 
-    Same preconditions as ``_scan``. A subset is its parent plus its
-    noisiest member x, its highest bit. Its noise total is the parent's
-    plus x, the float ``_scan``'s prefix sum reaches, so ``_scan``'s first
-    test, k = |S|, is taken here. If the level it gives is above x, every
-    member is funded and the rate is the same log sum over the members,
-    ascending. Otherwise ``_scan`` goes on with the parent's tests, and the
-    subset has the parent's rate. Singletons, infinite levels and infinite
-    rates are handed to ``_scan`` itself, whose overflow, subnormal and
-    fallback branches stay the only ones.
+
+def _subset_rates(sorted_noises, budget):
+    """``_scan``'s rate of every subset of each row of a rows x n matrix of
+    ascending noises, by bitmask: bit i is column i, and the empty subset
+    has rate 0. An infinite noise, sorted last, is never funded.
+
+    Same preconditions as ``_scan`` on each row's finite noises. A subset
+    is its parent plus its noisiest member x, its highest bit. Passes over
+    all rows at once:
+
+    * noise totals by doubling, one bit at a time: a subset's total is its
+      parent's plus x, the float ``_scan``'s prefix sum reaches, so the
+      level (budget + total) / |S| is ``_scan``'s first test, k = |S|;
+    * the funded test, level above x. A subset that fails it (an infinite
+      x always does) takes its parent's rate, as ``_scan`` goes on with
+      the parent's tests; one copy pass per bit, parents first;
+    * the funded subsets' rates, in blocks of ``_BLOCK``: level / y in
+      numpy, then ``math.log`` of each and a Python ``sum`` over each
+      subset's members, ascending, exactly as ``_scan`` sums (np.log need
+      not agree with math.log to the last bit, and Python's sum is
+      compensated from 3.12). An infinite rate, from an infinite level or
+      a level / y that overflows, is handed to ``_scan`` itself, whose
+      overflow, subnormal and fallback branches stay the only ones.
     """
-    # members are decoded from a low and a high half of the mask, so that
-    # no table holds a list per subset
-    half = (len(sorted_noises) + 1) // 2
-    low_bits = (1 << half) - 1
-    low, high = [[]], [[]]
-    totals, counts, rates = [0.0], [0], [0.0]
-    for h, x in enumerate(sorted_noises):
-        bit = 1 << h
-        lists = low if h < half else high
-        lists += [s + [x] for s in lists]
-        totals.append(x)
-        counts.append(1)
-        rates.append(_scan([x], budget)[2])
-        for parent in range(1, bit):
-            total = totals[parent] + x
-            count = counts[parent] + 1
-            totals.append(total)
-            counts.append(count)
-            level = (budget + total) / count
-            if level <= x:
-                rates.append(rates[parent])
-                continue
-            mask = parent | bit
-            members = low[mask & low_bits] + high[mask >> half]
-            # math.log as in _scan: np.log need not agree to the last bit
-            rate = sum([math.log(level / y) for y in members]) if level < math.inf else math.inf
-            if rate == math.inf:
-                rate = _scan(members, budget)[2]
-            rates.append(rate)
+    rows, n = sorted_noises.shape
+    levels = np.zeros((rows, 1 << n))  # noise totals, then levels
+    sizes = np.zeros(1 << n, np.intp)
+    unfunded = np.ones((rows, 1 << n), bool)  # the empty subset has rate 0
+    rates = np.zeros((rows, 1 << n))
+    # an overflowing total or ratio goes to _scan; the empty subset's level is budget / 0
+    with np.errstate(over="ignore", divide="ignore"):
+        for h in range(n):
+            np.add(levels[:, :1 << h], sorted_noises[:, h:h + 1], out=levels[:, 1 << h:2 << h])
+            np.add(sizes[:1 << h], 1, out=sizes[1 << h:2 << h])
+        levels += budget
+        levels /= sizes
+        for h in range(n):
+            np.less_equal(levels[:, 1 << h:2 << h], sorted_noises[:, h:h + 1], out=unfunded[:, 1 << h:2 << h])
+        funded = np.flatnonzero(~unfunded)
+        for at in np.split(funded, range(_BLOCK, len(funded), _BLOCK)):
+            row, mask = at >> n, at & ((1 << n) - 1)
+            members, counts = (mask[:, None] & (1 << np.arange(n))) != 0, sizes[mask]
+            logs = list(map(math.log, (np.repeat(levels.flat[at], counts)
+                                       / sorted_noises[row][members]).tolist()))
+            ends = counts.cumsum().tolist()
+            rates.flat[at] = [sum(logs[a:b]) for a, b in zip([0] + ends, ends)]
+            for i in np.flatnonzero(rates.flat[at] == math.inf):
+                rates.flat[at[i]] = _scan(sorted_noises[row[i]][members[i]].tolist(), budget)[2]
+    for h in range(n):
+        np.copyto(rates[:, 1 << h:2 << h], rates[:, :1 << h], where=unfunded[:, 1 << h:2 << h])
     return rates
 
 
 def _subset_tables(noises, budget):
     """``_scan``'s rate of every subset of each row of a rows x n noise
     matrix, by column bitmask. An infinite noise is never funded; a zero
-    budget, where ``_scan`` does not apply, gives 0. ``_subset_rates``
-    solves each row's sorted finite noises, and one permutation for all
-    rows maps column bitmasks to sorted ones (tied noises are equal floats,
-    so their order changes no rate)."""
+    budget, where ``_scan`` does not apply, gives 0. One ``_subset_rates``
+    call solves the row-sorted matrix, and one permutation for all rows
+    maps column bitmasks to sorted ones (tied noises are equal floats, so
+    their order changes no rate)."""
     noises = np.asarray(noises, dtype=float)
     rows, n = noises.shape
     if budget == 0.0:
         return np.zeros((rows, 1 << n))
-    rates = []  # row r's table from r * 2^n, zero-padded past its 2^k subsets
-    for row in np.sort(noises, axis=1).tolist():
-        k = bisect_left(row, math.inf)
-        rates += _subset_rates(row[:k], budget)
-        rates += [0.0] * ((1 << n) - (1 << k))
-    # each column's bit in its row's sorted order, 0 for an infinite noise
-    bits = np.where(noises < math.inf, 1 << np.argsort(noises, axis=1, kind="stable").argsort(axis=1), 0)
+    rates = _subset_rates(np.sort(noises, axis=1), budget)
+    bits = 1 << np.argsort(noises, axis=1, kind="stable").argsort(axis=1)  # each column's sorted bit
     index = np.zeros((rows, 1 << n), np.intp)
     index[:, 0] = np.arange(rows) << n  # row r's start, clear of every sorted bit
     for t in range(n):
         np.bitwise_or(index[:, :1 << t], bits[:, t:t + 1], out=index[:, 1 << t:2 << t])
-    return np.array(rates, dtype=float)[index]
+    return rates.ravel()[index]
 
 
 def water_level(profile):

@@ -31,4 +31,4 @@ def test_pair_index_has_one_definition_in_submodular():
     # the exact optimum and the monotone check walk the same nested-pair index
     allocation, submodular = sys.modules["wfalloc.allocation"], sys.modules["wfalloc.submodular"]
     assert allocation._pair_index is submodular._pair_index
-    assert submodular._pair_index.__wrapped__.__module__ == "wfalloc.submodular"
+    assert submodular._pair_index.__module__ == "wfalloc.submodular"

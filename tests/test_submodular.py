@@ -153,6 +153,18 @@ def test_pair_checks_stay_small_at_twelve_elements():
     assert peak < 16 * 2**20
 
 
+def test_a_monotone_check_above_the_brute_force_fold_keeps_no_pair_index():
+    # 3^13 pairs take 12.3 MiB: built for the call and freed with it
+    tracemalloc.start()
+    try:
+        assert check_monotone(oracle_from(MODULAR, 13), tolerance=0.0, max_ground_size=13) == []
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert kept < 2**20
+    assert _pair_index(12) is _pair_index(12)
+
+
 CHECKERS = (check_submodular_pairwise, check_setpair_submodular, check_monotone)
 
 

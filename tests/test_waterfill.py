@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from wfalloc.waterfill import (
+    _BLOCK,
     NoiseProfile,
     _subset_rates,
     _subset_tables,
@@ -225,7 +226,7 @@ def test_rate_of_subset_is_the_rate_of_the_subset_profile(p):
 def test_subset_rates_are_the_rate_of_every_subset(noises, budget):
     noises.sort()
     p = NoiseProfile(noises, budget)
-    rates = _subset_rates(noises, budget)
+    rates = _subset_rates(np.array([noises]), budget)[0].tolist()
     assert len(rates) == 1 << len(noises)
     assert [rate.hex() for rate in rates] == [
         rate_of_subset(p, [i for i in range(len(noises)) if mask >> i & 1]).hex()
@@ -248,15 +249,24 @@ def noise_matrices(draw):
 @settings(derandomize=True, database=None, max_examples=300)
 @given(noise_matrices())
 @example(([ONE_ULP_NOISES, ONE_ULP_NOISES[::-1]], 1.0))
+@example((np.empty((0, 3)), 1.0))
 # the rounded mean of these near-tied noises tops the noisiest one, so a
 # zero budget would fund them without its own branch
 @example(([[1.5499712299535262, math.inf, 1.5499712299535249, 1.5499712299535255,
             1.549971229953526, 1.5499712299535262]], 0.0))
 def test_subset_tables_are_the_rate_of_every_subset(matrix):
+    assert_tables_are_rates(*matrix)
+
+
+def test_subset_tables_solve_ten_thousand_rows_at_once():
+    rows = np.random.default_rng(5).choice(FLOAT_EDGE_NOISES + (math.inf,), (10**4, 2))
+    assert_tables_are_rates(rows.tolist(), 1.0)
+
+
+def assert_tables_are_rates(rows, budget):
     # an infinite noise is never funded: each entry is the rate of the
     # subset's finite members, or 0 when it has none
-    rows, budget = matrix
-    n = len(rows[0])
+    n = np.shape(rows)[1]
     tables = _subset_tables(rows, budget)
     assert tables.shape == (len(rows), 1 << n)
     for row, table in zip(rows, tables.tolist()):
@@ -265,6 +275,17 @@ def test_subset_tables_are_the_rate_of_every_subset(matrix):
         assert [rate.hex() for rate in table] == [
             rate_of_subset(p, [t for t in finite if mask >> t & 1]).hex()
             for mask in range(1 << n)]
+
+
+def test_subset_tables_fund_every_subset_across_blocks():
+    # at this budget all 16,383 non-empty subsets of 14 channels are funded,
+    # so their logs are taken in more than one block
+    noises = sorted(np.random.default_rng(14).uniform(1.0, 2.0, 14).tolist())
+    p = NoiseProfile(noises, 30.0)
+    assert waterfill(p).active_set == frozenset(range(14)) and (1 << 14) - 1 > _BLOCK
+    table = _subset_tables([noises], p.budget)[0].tolist()
+    assert [rate.hex() for rate in table] == [
+        rate_of_subset(p, [t for t in range(14) if mask >> t & 1]).hex() for mask in range(1 << 14)]
 
 
 def test_rate_of_subset_rejects_unknown_ids_at_any_budget():
