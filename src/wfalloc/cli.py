@@ -23,7 +23,7 @@ from .submodular import (
     check_submodular_pairwise,
     violations_to_csv,
 )
-from .waterfill import NoiseProfile, _snr_noises, rate_of_subset, waterfill
+from .waterfill import NoiseProfile, _snr_noises, _subset_tables, rate_of_subset, waterfill
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -95,10 +95,11 @@ def _cmd_waterfill(args):
 def _cmd_check_submodular(args):
     if _source(args, "noises", "snrs") == "snrs":
         snrs = _parse_reals(args.snrs, "--snrs")
-        profile = _snrs_to_profile(snrs, args.power)
+        profile, noises = _snrs_to_profile(snrs, args.power), _snr_noises(snrs)
         # every SNR stays in the ground set; an unfunded one adds no rate to any subset
-        oracle = SetFunctionOracle(frozenset(range(len(snrs))),
-                                   lambda s: rate_of_subset(profile, s.intersection(profile.ids)))
+        oracle = SetFunctionOracle(
+            frozenset(range(len(snrs))), lambda s: rate_of_subset(profile, s.intersection(profile.ids)),
+            lambda elems: _subset_tables([[noises[e] for e in elems]], profile.budget)[0])
     else:
         oracle = rate_oracle(NoiseProfile(_parse_reals(args.noises, "--noises"), args.power))
     tolerance = args.tolerance + 0.0  # -0.0 + 0.0 is 0.0, so -0.0 prints as 0

@@ -9,6 +9,7 @@ than a sampled verdict. Oversized ground sets are rejected, never sampled.
 import csv
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 from typing import Callable
 
@@ -16,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "MONOTONE_SETPAIR_CAP",
+    "PAIRWISE_CAP",
     "GroundSetTooLargeError",
     "SetFunctionOracle",
     "SubmodularityViolation",
@@ -28,10 +30,10 @@ __all__ = [
 ]
 
 
-MONOTONE_SETPAIR_CAP = 8  # default cap of the checks that compare pairs of subsets
+PAIRWISE_CAP = 12  # ground-set cap of the pairwise check
+MONOTONE_SETPAIR_CAP = 8  # ground-set cap of the checks that compare pairs of subsets
 _BLOCK = 1 << 13  # gap entries compared per numpy block
 _SLICE = 1 << 10  # pairwise violations decoded per slice
-_PAIR_INDEXES = {}  # _pair_index(n) for n <= 12, the largest brute-force fold (3^12 <= 10^6 < 3^13)
 
 
 class GroundSetTooLargeError(ValueError):
@@ -80,7 +82,7 @@ def _check_tolerance(tolerance):
         raise ValueError("tolerance must be nonnegative")
 
 
-def _subset_table(oracle, tolerance, max_ground_size, check):
+def _subset_table(oracle, tolerance, cap, check):
     """Validate a check's arguments, then tabulate the oracle over every subset.
 
     Returns ``(elems, values, subset)``: the sorted ground set, every
@@ -94,10 +96,8 @@ def _subset_table(oracle, tolerance, max_ground_size, check):
     _check_tolerance(tolerance)
     elems = sorted(oracle.ground_set)
     u = len(elems)
-    if u > max_ground_size:
-        raise GroundSetTooLargeError(
-            f"ground set too large for the exhaustive {check} check: {u} > {max_ground_size}"
-        )
+    if u > cap:
+        raise GroundSetTooLargeError(f"ground set too large for the exhaustive {check} check: {u} > {cap}")
     if oracle.table is None:
         subsets = [frozenset()]
         for e in elems:
@@ -127,15 +127,15 @@ def _blocks(count, width):
         yield np.arange(start, min(start + step, count))
 
 
-def check_submodular_pairwise(oracle, tolerance=1e-9, max_ground_size=12):
+def check_submodular_pairwise(oracle, tolerance=1e-9):
     """Every (S, i, j) with f(S+i) + f(S+j) < f(S) + f(S+i+j) - tolerance.
 
     Enumerates all S subset of U and all unordered pairs i != j outside S,
     reported by S in counting order, then i, then j. An empty list certifies
     the pairwise submodularity inequality at this tolerance over the whole
-    ground set.
+    ground set, of at most ``PAIRWISE_CAP`` elements.
     """
-    elems, f, subset = _subset_table(oracle, tolerance, max_ground_size, "pairwise")
+    elems, f, subset = _subset_table(oracle, tolerance, PAIRWISE_CAP, "pairwise")
     if len(elems) < 2:
         return []
     i, j = np.triu_indices(len(elems), 1)
@@ -170,25 +170,27 @@ def check_submodular_pairwise(oracle, tolerance=1e-9, max_ground_size=12):
     return violations
 
 
-def check_setpair_submodular(oracle, tolerance=1e-9, max_ground_size=MONOTONE_SETPAIR_CAP):
+def check_setpair_submodular(oracle, tolerance=1e-9):
     """Every unordered pair (S, T) with f(S) + f(T) < f(S&T) + f(S|T) - tolerance.
 
-    The set-pair form of submodularity; an empty list on small ground sets
-    confirms it agrees with the pairwise form. Pairs are reported with S no
-    later than T in counting order, by S, then T.
+    The set-pair form of submodularity over at most ``MONOTONE_SETPAIR_CAP``
+    elements; an empty list confirms it agrees with the pairwise form. Pairs
+    are reported with S no later than T in counting order, by S, then T. The
+    gap is sum against sum, so a nested pair's is 0: both sums add f(S), f(T).
     """
-    _, f, subset = _subset_table(oracle, tolerance, max_ground_size, "set-pair")
+    _, f, subset = _subset_table(oracle, tolerance, MONOTONE_SETPAIR_CAP, "set-pair")
     violations = []
     for smasks in _blocks(len(f), len(f)):
         s = smasks[:, None]
         t = np.arange(smasks[0], len(f))
         with np.errstate(over="ignore", invalid="ignore"):
-            gap = f[s & t] + f[s | t] - f[s] - f[t]
+            gap = (f[s & t] + f[s | t]) - (f[s] + f[t])
             rows, cols = np.nonzero((gap > tolerance) & (t >= s))
         violations += [(subset(a), subset(b)) for a, b in zip(smasks[rows].tolist(), t[cols].tolist())]
     return violations
 
 
+@cache
 def _pair_index(n):
     """Every (mask ^ T, T) pair with T a submask of an n-bit mask, ordered by
     mask and, within a mask, by T descending: 3^n pairs as two read-only
@@ -196,13 +198,11 @@ def _pair_index(n):
 
     Built one bit b at a time: the pairs so far are those of the masks
     without b, and the group of mask M + b is M's group with b added to
-    each T, then M's group again with b added to mask ^ T. Only n <= 12 is
-    cached (531,441 pairs, a few MB): brute force folds at n <= 12, and
-    ``check_monotone`` at n <= its ``max_ground_size``, 8 by default. A
-    larger index is built for its call and freed with it.
+    each T, then M's group again with b added to mask ^ T. Every index
+    built is cached, and n is bounded: brute force folds at n <= 12 (m >= 3
+    with m^n <= 10^6), and ``check_monotone`` at n <= its cap of 8, so the
+    cache holds at most the 3^12 = 531,441 pairs of n = 12, a few MB.
     """
-    if n in _PAIR_INDEXES:
-        return _PAIR_INDEXES[n]
     rest = share = np.zeros(1, np.int32)
     starts = np.zeros(1, np.intp)
     for b in range(n):
@@ -218,17 +218,15 @@ def _pair_index(n):
     index = rest, share, starts, np.diff(starts, append=len(share))
     for array in index:
         array.setflags(write=False)
-    if n <= 12:
-        _PAIR_INDEXES[n] = index
     return index
 
 
-def check_monotone(oracle, tolerance=1e-9, max_ground_size=MONOTONE_SETPAIR_CAP):
+def check_monotone(oracle, tolerance=1e-9):
     """Every nested pair (S, T) with S subset of T but f(S) > f(T) + tolerance,
     in ``_pair_index`` order: by T in counting order, then S from latest to
-    earliest.
+    earliest. The ground set holds at most ``MONOTONE_SETPAIR_CAP`` elements.
     """
-    elems, f, subset = _subset_table(oracle, tolerance, max_ground_size, "monotonicity")
+    elems, f, subset = _subset_table(oracle, tolerance, MONOTONE_SETPAIR_CAP, "monotonicity")
     rest, s, _, sizes = _pair_index(len(elems))
     # T's group holds sizes[T] pairs: f(T) + tolerance repeated lines up with f(S)
     with np.errstate(over="ignore"):

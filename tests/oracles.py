@@ -128,7 +128,7 @@ def naive_pairwise_violations(ground_set, f, tolerance):
 def naive_setpair_violations(ground_set, f, tolerance):
     """(S, T), S no later than T in counting order, with f(S)+f(T) < f(S&T)+f(S|T) - tolerance."""
     pairs = itertools.combinations_with_replacement(counting_order_subsets(ground_set), 2)
-    return [(s, t) for s, t in pairs if f(s & t) + f(s | t) - f(s) - f(t) > tolerance]
+    return [(s, t) for s, t in pairs if (f(s & t) + f(s | t)) - (f(s) + f(t)) > tolerance]
 
 
 def naive_monotone_violations(ground_set, f, tolerance):

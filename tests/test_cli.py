@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import os
 import subprocess
@@ -5,12 +7,17 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wfalloc
+from wfalloc import cli
 from wfalloc.allocation import WeightMatrix
 from wfalloc.cli import main
 from wfalloc.experiments import RECORD_HEADER
 from wfalloc.profiles import ProfileSpec, generate, write_weights_csv
+
+from oracles import counting_order_subsets
 
 
 def run_cli(capsys, *argv):
@@ -179,6 +186,42 @@ def test_check_submodular_snrs_exact_stdout(capsys):
     )
 
 
+def test_check_submodular_snrs_tables_each_check_once(capsys, monkeypatch):
+    waterfill_module, calls = sys.modules["wfalloc.waterfill"], []
+    kernel = waterfill_module._subset_rates
+    monkeypatch.setattr(waterfill_module, "_subset_rates", lambda *args: calls.append(1) or kernel(*args))
+    monkeypatch.setattr(cli, "rate_of_subset", lambda *args: pytest.fail("solved a subset alone"))
+    # the two SNRs' joint rate is one ulp below the first's alone; the zero
+    # SNR and 1e-310, whose 1/w overflows, are never funded
+    code, out, err = run_cli(capsys, "check-submodular", "--snrs",
+                             "2.4558498082097246,0.7106355728699795,0,1e-310", "--tolerance", "0")
+    assert (code, err) == (0, "")
+    assert len(calls) == 3
+    assert out == (
+        "ground_set: 4 elements, tolerance 0\n"
+        "pairwise: 0 violations in 24 triples\n"
+        "monotone: 9 violations\n"
+        "setpair: 0 violations\n"
+    )
+
+
+EDGE_SNRS = (0.0, 5e-324, 1e-310, 1e-300, math.exp(-700), math.exp(700), 1e300, 1.0, 2.0)
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(st.lists(st.one_of(st.sampled_from(EDGE_SNRS), st.floats(0.0, 10.0)), min_size=1, max_size=8),
+       st.sampled_from(("0", "1e-300", "1", "2.5")))
+def test_check_submodular_snrs_table_is_evaluate_bit_for_bit(snrs, power):
+    oracles = []
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(io.StringIO()):
+        patch.setattr(cli, "check_submodular_pairwise", lambda oracle, tolerance: oracles.append(oracle) or [])
+        assert main(["check-submodular", f"--snrs={','.join(map(repr, snrs))}", "--power", power]) == 0
+    oracle, = oracles
+    table = oracle.table(sorted(oracle.ground_set))
+    assert [v.hex() for v in table.tolist()] == \
+        [float(oracle.evaluate(s)).hex() for s in counting_order_subsets(oracle.ground_set)]
+
+
 def test_check_submodular_snrs_zero_power_certifies(capsys):
     code, out, err = run_cli(capsys, "check-submodular", "--snrs", "10,5,0", "--power", "0")
     assert code == 0
@@ -202,9 +245,14 @@ def test_check_submodular_certifies_subnormal_noises_at_the_default_tolerance(ca
         "monotone: 0 violations",
         "setpair: 0 violations",
     ]
+    # set-pair compares sum against sum, so none of its 6 is a nested pair
     code, out, _ = run_cli(capsys, *argv, "--tolerance", "0")
     assert code == 0
-    assert "pairwise: 0 violations in 80 triples" not in out.splitlines()
+    assert out.splitlines()[1:] == [
+        "pairwise: 3 violations in 80 triples",
+        "monotone: 9 violations",
+        "setpair: 6 violations",
+    ]
 
 
 def test_minus_zero_budget_and_tolerance_print_as_zero(capsys):

@@ -63,7 +63,15 @@ def test_pairwise_waterfilling_rate_is_clean():
 def test_pairwise_cap():
     with pytest.raises(GroundSetTooLargeError, match="ground set too large"):
         check_submodular_pairwise(oracle_from(MODULAR, 13))
-    assert check_submodular_pairwise(oracle_from(MODULAR, 13), max_ground_size=13) == []
+
+
+def test_pairwise_at_its_cap_reports_every_triple_in_naive_order():
+    # |S|^2 gains 2|S| + 1 per element, so every one of the 66 * 2^10 triples violates
+    ground = frozenset(range(12))
+    pairwise = [(v.base_set, v.elem_i, v.elem_j, v.lhs, v.rhs, v.gap)
+                for v in check_submodular_pairwise(oracle_from(CARD_SQUARED, 12))]
+    assert len(pairwise) == 67_584
+    assert pairwise == naive_pairwise_violations(ground, CARD_SQUARED, 1e-9)
 
 
 # --- set-pair check -------------------------------------------------------
@@ -81,6 +89,20 @@ def test_setpair_waterfilling_rate_is_clean():
 def test_setpair_cap():
     with pytest.raises(GroundSetTooLargeError):
         check_setpair_submodular(oracle_from(MODULAR, 9))
+
+
+def test_setpair_never_reports_a_nested_pair():
+    # for S within T the two sums hold the same values, f(S) + f(T), so the
+    # gap is exactly 0 however the values round
+    rng = np.random.default_rng(59)
+    for low, high in ((0.0, 1.0), (1e8, 2e8), (-1e300, 1e300)):
+        for size in (4, 8):
+            for _ in range(10):
+                table = rng.uniform(low, high, 1 << size)
+                oracle = oracle_from(lambda s, t=table: float(t[sum(1 << e for e in s)]), size)
+                for tol in (0.0, 1e-9):
+                    assert [(s, t) for s, t in check_setpair_submodular(oracle, tolerance=tol)
+                            if s <= t] == []
 
 
 def test_definition_equivalence_on_small_ground_sets():
@@ -141,28 +163,16 @@ def test_pair_index_lists_every_nested_pair_by_mask_then_subset_descending():
 # --- all three checks ----------------------------------------------------
 
 def test_pair_checks_stay_small_at_twelve_elements():
-    # an unblocked 4^12 float64 gap array alone would take 128 MiB
-    oracle = oracle_from(MODULAR, 12)
+    # each check at its cap: pairwise at 12, set-pair and monotone at 8
     tracemalloc.start()
     try:
-        assert check_setpair_submodular(oracle, tolerance=0.0, max_ground_size=12) == []
-        assert check_monotone(oracle, tolerance=0.0, max_ground_size=12) == []
+        assert check_submodular_pairwise(oracle_from(MODULAR, 12), tolerance=0.0) == []
+        assert check_setpair_submodular(oracle_from(MODULAR, 8), tolerance=0.0) == []
+        assert check_monotone(oracle_from(MODULAR, 8), tolerance=0.0) == []
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
-
-
-def test_a_monotone_check_above_the_brute_force_fold_keeps_no_pair_index():
-    # 3^13 pairs take 12.3 MiB: built for the call and freed with it
-    tracemalloc.start()
-    try:
-        assert check_monotone(oracle_from(MODULAR, 13), tolerance=0.0, max_ground_size=13) == []
-        kept = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert kept < 2**20
-    assert _pair_index(12) is _pair_index(12)
 
 
 CHECKERS = (check_submodular_pairwise, check_setpair_submodular, check_monotone)
