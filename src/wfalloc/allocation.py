@@ -11,10 +11,11 @@ user subsets, desk scale only) or from an analytic upper bound.
 import math
 from bisect import insort
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from .submodular import _pair_index
+from .submodular import _BLOCK, _pair_index
 from .waterfill import _scan, _subset_tables, log_utility
 
 __all__ = [
@@ -330,22 +331,41 @@ def _subset_utilities(W):
     return _subset_tables(noises, 1.0)
 
 
+@cache
+def _fold_blocks(n):
+    """``_pair_index(n)`` in blocks of whole mask groups, at most ``_BLOCK``
+    pairs each: (mask span, rests, shares, group starts), read-only."""
+    rest_of, share_of, starts, sizes = _pair_index(n)
+    ends, blocks, a = starts + sizes, [], 0
+    while a < len(starts):
+        b = max(a + 1, int(np.searchsorted(ends, starts[a] + _BLOCK, "right")))
+        pairs, at = slice(starts[a], ends[b - 1]), starts[a:b] - starts[a]
+        at.setflags(write=False)
+        blocks.append((slice(a, b), rest_of[pairs], share_of[pairs], at))
+        a = b
+    return blocks
+
+
 def offline_bruteforce(W):
     """Exact offline optimum by dynamic programming over user subsets.
 
     With f_j station j's log utility of every user subset, the best value
     of giving users S to stations 0..j is best_j[S] = max over T within S
     of best_{j-1}[S - T] + f_j(T): O(m 3^n) steps. The tables f_j come from
-    ``_subset_utilities``. Each step is one numpy max-plus reduction over
-    the (S - T, T) pairs of ``_pair_index``. Each candidate is the one
-    float addition best_{j-1}[S - T] + f_j(T), so every value equals a
-    scalar loop's bit for bit. The decode walks back from the last station
-    and reads one group per station, that of the users left. On ties the
-    last station takes the largest user bitmask, then each earlier station
-    likewise among the users left: its group lists T descending, so its
-    first maximum. Raises InstanceTooLargeError when m^n exceeds the cap.
-    Returns (allocation, value) with the value recomputed through
-    system_utility for consistency with other callers.
+    ``_subset_utilities``. Each step is a numpy max-plus reduction over the
+    (S - T, T) pairs of ``_pair_index``, every station per block of
+    ``_fold_blocks``: S - T <= S, so a block reads only earlier blocks and
+    what the station before just wrote; no temporary grows with 3^n (malloc
+    maps one that does anew, page faults and all, every call). Each
+    candidate is the one float addition best_{j-1}[S - T] + f_j(T), so
+    every value equals a scalar loop's bit for bit. The decode walks back
+    from the last station, summing the group of the users left for all
+    stations below at once. On ties the last station takes the largest user
+    bitmask, then each earlier station likewise among the users left: its
+    group lists T descending, so its first maximum. Raises
+    InstanceTooLargeError when m^n exceeds the cap. Returns (allocation,
+    value) with the value recomputed through system_utility for
+    consistency with other callers.
     """
     n, m = W.n, W.m
     check_bruteforce_size(n, m)
@@ -357,23 +377,26 @@ def offline_bruteforce(W):
     bests[0] = tables[0]
     if m > 2:
         rest_of, share_of, starts, sizes = _pair_index(n)
-        # row j of candidates becomes station j + 1's sums, in station order
-        candidates = tables[1:-1, share_of]
-        for j, row in enumerate(candidates):
-            row += bests[j][rest_of]  # unlike take, indexing casts the int32 index in a small buffer
-            np.maximum.reduceat(row, starts, out=bests[j + 1])
+        for span, rests, shares, at in _fold_blocks(n):
+            # row j of sums becomes station j + 1's sums of the block
+            for sums, prev, out in zip(tables[1:-1, shares], bests, bests[1:, span]):
+                sums += prev[rests]
+                np.maximum.reduceat(sums, at, out=out)
     # entry i leaves users i to the earlier stations and all ^ i to the last;
     # the first maximum is the smallest i, so the last station's largest T
     rest = int((bests[-1] + tables[-1][::-1]).argmax())
-    masks = [rest ^ ((1 << n) - 1)]
-    for j in range(m - 3, -1, -1):
-        # the largest T reaching rest's group maximum: the first in the group
-        at = starts[rest]
-        masks.append(int(share_of[at + candidates[j, at:at + sizes[rest]].argmax()]))
-        rest ^= masks[-1]
-    masks.append(rest)
-    alloc = Allocation(tuple(frozenset(u for u in range(n) if mask >> u & 1)
-                             for mask in reversed(masks)))
+    masks, j = [0] * (m - 1) + [rest ^ ((1 << n) - 1)], m - 2  # stations 1..j left
+    while rest and j:
+        # rest's group for stations 1..j at once: each takes its first maximum,
+        # the largest T reaching it; the highest station taking users is decoded
+        group = slice(starts[rest], starts[rest] + sizes[rest])
+        share = share_of[group]
+        picks = share[(tables[1:j + 1, share] + bests[:j, rest_of[group]]).argmax(axis=1)]
+        j = max(np.flatnonzero(picks).tolist(), default=0)
+        masks[j + 1] = int(picks[j])
+        rest ^= masks[j + 1]
+    masks[0] = rest
+    alloc = Allocation(tuple(frozenset(u for u in range(n) if mask >> u & 1) for mask in masks))
     return alloc, system_utility(alloc, W)
 
 

@@ -2,6 +2,7 @@ import gc
 import inspect
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -641,6 +642,38 @@ def test_bruteforce_breaks_ties_like_the_scalar_fold_at_the_cap():
     assert offline_bruteforce(W)[0].parts == bruteforce_by_best_share(W)
 
 
+def test_bruteforce_breaks_ties_like_the_scalar_fold_across_blocks_and_stations():
+    # 9x4 and 11x3 fold 3^9 and 3^11 pairs in several blocks, through two and
+    # one fold stations (at 9x4 a block read before it is written reads
+    # garbage); n <= 2 on up to 50 stations walks the decode past many
+    # stations that take no user, and stops it once none is left
+    rng = np.random.default_rng(17)
+    shapes = [(9, 4)] * 8 + [(11, 3)] + [(n, m) for n in (1, 2) for m in (2, 3, 7, 50) for _ in range(4)]
+    for n, m in shapes:
+        rows = rng.integers(0, 4, (n, m)).astype(float)
+        rows[:, rng.integers(m)] = rows[:, rng.integers(m)]  # a column copied: ties on every subset
+        W = WeightMatrix(rows)
+        alloc, value = offline_bruteforce(W)
+        parts = bruteforce_by_best_share(W)
+        assert alloc.parts == parts
+        assert value == system_utility(Allocation(parts), W)
+
+
+def test_bruteforce_fold_keeps_no_temporary_that_grows_with_the_pairs():
+    # a temporary of all 3^10 pairs is 472 KB, above malloc's mmap threshold,
+    # so it is mapped and page-faulted anew on every call; the fold's blocks
+    # are at most 64 KiB, and the tables are ~131 KiB of the peak
+    W = WeightMatrix(np.random.default_rng(10).exponential(3.0, (10, 3)))
+    offline_bruteforce(W)  # caches the pair index and its blocks
+    tracemalloc.start()
+    try:
+        offline_bruteforce(W)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 384 * 1024
+
+
 def test_bruteforce_cap():
     W = WeightMatrix(np.ones((21, 2)))
     with pytest.raises(InstanceTooLargeError, match="instance too large"):
@@ -701,6 +734,16 @@ def test_ratio_report_examples():
     assert report.ratio == pytest.approx(1.0, abs=1e-12)
     zero = competitive_ratio(WeightMatrix(np.zeros((2, 2))), "greedy", "brute_force_optimum")
     assert zero.ratio == 1.0 and zero.online_utility == 0.0
+
+
+@pytest.mark.parametrize("w", [0.1, 1e-2, 1e-3])
+def test_greedy_ratio_nears_two_on_the_planted_tight_family(w):
+    # user 0 takes station 0 by a hair; user 1, worth nothing at station 1,
+    # then shares it, while the optimum gives each user a station of its own:
+    # the ratio is 2 - O(w), where sampled matrices stay near 1.3
+    W = WeightMatrix([[w * (1 + 1e-9), w], [w, 0.0]])
+    ratio = ratio_value(offline_bruteforce(W)[1], system_utility(online_greedy(W), W))
+    assert 1.95 < ratio <= 2 + 1e-9
 
 
 def test_ratio_of_noises_that_overflow_is_finite():
