@@ -352,20 +352,21 @@ def offline_bruteforce(W):
     With f_j station j's log utility of every user subset, the best value
     of giving users S to stations 0..j is best_j[S] = max over T within S
     of best_{j-1}[S - T] + f_j(T): O(m 3^n) steps. The tables f_j come from
-    ``_subset_utilities``. Each step is a numpy max-plus reduction over the
-    (S - T, T) pairs of ``_pair_index``, every station per block of
-    ``_fold_blocks``: S - T <= S, so a block reads only earlier blocks and
-    what the station before just wrote; no temporary grows with 3^n (malloc
-    maps one that does anew, page faults and all, every call). Each
-    candidate is the one float addition best_{j-1}[S - T] + f_j(T), so
-    every value equals a scalar loop's bit for bit. The decode walks back
-    from the last station, summing the group of the users left for all
-    stations below at once. On ties the last station takes the largest user
-    bitmask, then each earlier station likewise among the users left: its
-    group lists T descending, so its first maximum. Raises
-    InstanceTooLargeError when m^n exceeds the cap. Returns (allocation,
-    value) with the value recomputed through system_utility for
-    consistency with other callers.
+    ``_subset_utilities``, whose entries add their logs left to right as
+    ``_scan`` does. Each step is a numpy max-plus reduction over the
+    (S - T, T) pairs of ``_pair_index``, gathered with ``take``, every
+    station per block of ``_fold_blocks``: S - T <= S, so a block reads
+    only earlier blocks and what the station before just wrote; no
+    temporary grows with 3^n (malloc maps one that does anew, page faults
+    and all, every call). Each candidate is the one float addition
+    best_{j-1}[S - T] + f_j(T), so every value equals a scalar loop's bit
+    for bit. The decode walks back from the last station, summing the group
+    of the users left for all stations below at once. On ties the last
+    station takes the largest user bitmask, then each earlier station
+    likewise among the users left: its group lists T descending, so its
+    first maximum. Raises InstanceTooLargeError when m^n exceeds the cap.
+    Returns (allocation, value) with the value recomputed through
+    system_utility for consistency with other callers.
     """
     n, m = W.n, W.m
     check_bruteforce_size(n, m)
@@ -379,8 +380,8 @@ def offline_bruteforce(W):
         rest_of, share_of, starts, sizes = _pair_index(n)
         for span, rests, shares, at in _fold_blocks(n):
             # row j of sums becomes station j + 1's sums of the block
-            for sums, prev, out in zip(tables[1:-1, shares], bests, bests[1:, span]):
-                sums += prev[rests]
+            for sums, prev, out in zip(tables[1:-1].take(shares, axis=1), bests, bests[1:, span]):
+                sums += prev.take(rests)
                 np.maximum.reduceat(sums, at, out=out)
     # entry i leaves users i to the earlier stations and all ^ i to the last;
     # the first maximum is the smallest i, so the last station's largest T
@@ -391,7 +392,8 @@ def offline_bruteforce(W):
         # the largest T reaching it; the highest station taking users is decoded
         group = slice(starts[rest], starts[rest] + sizes[rest])
         share = share_of[group]
-        picks = share[(tables[1:j + 1, share] + bests[:j, rest_of[group]]).argmax(axis=1)]
+        sums = tables[1:j + 1].take(share, axis=1) + bests[:j].take(rest_of[group], axis=1)
+        picks = share[sums.argmax(axis=1)]
         j = max(np.flatnonzero(picks).tolist(), default=0)
         masks[j + 1] = int(picks[j])
         rest ^= masks[j + 1]

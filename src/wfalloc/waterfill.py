@@ -115,7 +115,8 @@ def _scan(sorted_noises, budget):
     budget cannot overflow it, as 1 plus any finite float rounds to at most
     the largest float. A sum that overflows is taken again at an exact
     power-of-two scale; the noises it then drops below the subnormal range
-    are far below its resolution.
+    are far below its resolution. The funded channels' logs add left to
+    right, one ``+=`` each: the rule ``_subset_rates`` repeats by columns.
     """
     prefix = tuple(accumulate(sorted_noises))
     shrunk = None
@@ -133,13 +134,17 @@ def _scan(sorted_noises, budget):
         # Budget below the float resolution of the quietest noise floor; fund
         # that single channel (its power rounds to zero).
         level, k = budget + sorted_noises[0], 1
-    rate = sum(math.log(level / x) for x in sorted_noises[:k])
+    rate = 0.0
+    for x in sorted_noises[:k]:
+        rate += math.log(level / x)
     if rate == math.inf:  # level / x overflowed for a subnormal noise x
-        rate = sum(math.log(level) - math.log(x) for x in sorted_noises[:k])
+        rate = 0.0
+        for x in sorted_noises[:k]:
+            rate += math.log(level) - math.log(x)
     return level, k, rate
 
 
-_BLOCK = 1 << 13  # funded subsets whose logs are taken per numpy block
+_BLOCK = 1 << 13  # subsets x channels log entries per numpy block
 
 
 def _subset_rates(sorted_noises, budget):
@@ -157,13 +162,14 @@ def _subset_rates(sorted_noises, budget):
     * the funded test, level above x. A subset that fails it (an infinite
       x always does) takes its parent's rate, as ``_scan`` goes on with
       the parent's tests; one copy pass per bit, parents first;
-    * the funded subsets' rates, in blocks of ``_BLOCK``: level / y in
-      numpy, then ``math.log`` of each and a Python ``sum`` over each
-      subset's members, ascending, exactly as ``_scan`` sums (np.log need
-      not agree with math.log to the last bit, and Python's sum is
-      compensated from 3.12). An infinite rate, from an infinite level or
-      a level / y that overflows, is handed to ``_scan`` itself, whose
-      overflow, subnormal and fallback branches stay the only ones.
+    * the funded subsets' rates, in blocks of ``_BLOCK`` log entries:
+      level / y in numpy, ``math.log`` of each (np.log need not agree to
+      the last bit) into a zero subsets x n matrix at the member columns,
+      whose columns add into a zero total one by one, ascending: adding 0.0
+      is exact, so each total is ``_scan``'s sum bit for bit. An infinite
+      rate, from an infinite level or a level / y that overflows, is handed
+      to ``_scan`` itself, whose overflow, subnormal and fallback branches
+      stay the only ones.
     """
     rows, n = sorted_noises.shape
     levels = np.zeros((rows, 1 << n))  # noise totals, then levels
@@ -179,15 +185,18 @@ def _subset_rates(sorted_noises, budget):
         levels /= sizes
         for h in range(n):
             np.less_equal(levels[:, 1 << h:2 << h], sorted_noises[:, h:h + 1], out=unfunded[:, 1 << h:2 << h])
-        funded = np.flatnonzero(~unfunded)
-        for at in np.split(funded, range(_BLOCK, len(funded), _BLOCK)):
+        funded, step = np.flatnonzero(~unfunded), _BLOCK // max(n, 1)
+        for at in np.split(funded, range(step, len(funded), step)):
             row, mask = at >> n, at & ((1 << n) - 1)
-            members, counts = (mask[:, None] & (1 << np.arange(n))) != 0, sizes[mask]
-            logs = list(map(math.log, (np.repeat(levels.flat[at], counts)
-                                       / sorted_noises[row][members]).tolist()))
-            ends = counts.cumsum().tolist()
-            rates.flat[at] = [sum(logs[a:b]) for a, b in zip([0] + ends, ends)]
-            for i in np.flatnonzero(rates.flat[at] == math.inf):
+            members = (mask[:, None] & (1 << np.arange(n))) != 0
+            ratios = np.repeat(levels.flat[at], sizes[mask]) / sorted_noises[row][members]
+            logs = np.zeros(members.shape)  # a non-member adds an exact 0.0
+            logs[members] = np.fromiter(map(math.log, ratios.tolist()), float, len(ratios))
+            total = np.zeros(len(at))
+            for column in logs.T:
+                total += column
+            rates.flat[at] = total
+            for i in np.flatnonzero(total == math.inf):
                 rates.flat[at[i]] = _scan(sorted_noises[row[i]][members[i]].tolist(), budget)[2]
     for h in range(n):
         np.copyto(rates[:, 1 << h:2 << h], rates[:, :1 << h], where=unfunded[:, 1 << h:2 << h])

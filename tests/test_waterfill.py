@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from wfalloc.waterfill import (
     _BLOCK,
     NoiseProfile,
+    _scan,
     _subset_rates,
     _subset_tables,
     log_utility,
@@ -286,6 +289,31 @@ def test_subset_tables_fund_every_subset_across_blocks():
     table = _subset_tables([noises], p.budget)[0].tolist()
     assert [rate.hex() for rate in table] == [
         rate_of_subset(p, [t for t in range(14) if mask >> t & 1]).hex() for mask in range(1 << 14)]
+
+
+def scan_cases():
+    edges = sorted(FLOAT_EDGE_NOISES)
+    for budget in FLOAT_EDGE_BUDGETS[1:]:
+        for k in range(1, len(edges) + 1):
+            yield edges[:k], budget
+    yield [5e-324, 1.0], 1.0  # 1.0 / 5e-324 overflows: the fallback branch
+    yield sorted(np.random.default_rng(12).uniform(1.0, 2.0, 12).tolist()), 30.0  # all funded
+
+
+def test_scan_adds_its_logs_left_to_right():
+    # the one summation rule, which _subset_rates repeats column by column;
+    # Python's sum is compensated from 3.12 and would fail here
+    fallbacks = set()
+    for noises, budget in scan_cases():
+        level, k, rate = _scan(noises, budget)
+        logs = [math.log(level / x) for x in noises[:k]]
+        fallbacks.add(math.inf in logs)
+        if math.inf in logs:
+            logs = [math.log(level) - math.log(x) for x in noises[:k]]
+        assert rate.hex() == functools.reduce(operator.add, logs, 0.0).hex()
+    assert fallbacks == {False, True}
+    # on the 12-channel row a correctly rounded sum lands elsewhere
+    assert k == 12 and math.fsum(logs) != rate
 
 
 def test_rate_of_subset_rejects_unknown_ids_at_any_budget():
