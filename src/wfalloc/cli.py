@@ -12,7 +12,7 @@ import sys
 from .allocation import (STRATEGIES, InstanceTooLargeError, ratio_value, reference_value,
                          run_strategy, system_utility)
 from .experiments import _fmt, evaluate_strategies, run_experiment, summarize, write_records_csv
-from .lemmas import rate_oracle
+from .lemmas import _rate_table, rate_oracle
 from .profiles import PRNG_ALGORITHM, PROFILE_KINDS, ProfileSpec, _check_seed, generate, replay_from_csv
 from .submodular import (
     MONOTONE_SETPAIR_CAP,
@@ -23,7 +23,7 @@ from .submodular import (
     check_submodular_pairwise,
     violations_to_csv,
 )
-from .waterfill import NoiseProfile, _snr_noises, _subset_tables, rate_of_subset, waterfill
+from .waterfill import NoiseProfile, _snr_noises, rate_of_subset, waterfill
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -99,7 +99,7 @@ def _cmd_check_submodular(args):
         # every SNR stays in the ground set; an unfunded one adds no rate to any subset
         oracle = SetFunctionOracle(
             frozenset(range(len(snrs))), lambda s: rate_of_subset(profile, s.intersection(profile.ids)),
-            lambda elems: _subset_tables([[noises[e] for e in elems]], profile.budget)[0])
+            _rate_table(noises.__getitem__, profile.budget))
     else:
         oracle = rate_oracle(NoiseProfile(_parse_reals(args.noises, "--noises"), args.power))
     tolerance = args.tolerance + 0.0  # -0.0 + 0.0 is 0.0, so -0.0 prints as 0

@@ -31,9 +31,10 @@ of the main-case bookkeeping.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .submodular import SetFunctionOracle
-from .waterfill import NoiseProfile, _subset_tables, rate_of_subset, waterfill
+from .waterfill import NoiseProfile, _solve, _subset_tables, rate_of_subset
 
 __all__ = [
     "MAIN_CASE",
@@ -60,15 +61,26 @@ def _close(x, y, tol=_REL_TOL):
     return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
 
 
+def _rate_table(noise_of, budget):
+    """An oracle ``table`` for channels of noise ``noise_of(e)``: every
+    subset's rate in one ``_subset_tables`` call, memoised on the element
+    tuple and read-only, so every check of the oracle shares one table."""
+    @lru_cache(maxsize=1)
+    def table(elems):
+        rates = _subset_tables([[noise_of(e) for e in elems]], budget)[0]
+        rates.setflags(write=False)
+        return rates
+    return lambda elems: table(tuple(elems))
+
+
 def rate_oracle(profile: NoiseProfile) -> SetFunctionOracle:
     """The profile's subset -> optimal rate map as a checkable set function.
 
-    Its ``table`` solves every subset in one ``_subset_tables`` call, bit
-    for bit the rates of ``rate_of_subset``.
+    Its ``table`` (``_rate_table``) is built once per oracle, bit for bit
+    the rates of ``rate_of_subset``.
     """
-    return SetFunctionOracle(
-        frozenset(profile.ids), lambda s: rate_of_subset(profile, s),
-        lambda elems: _subset_tables([[profile.noise_of(e) for e in elems]], profile.budget)[0])
+    return SetFunctionOracle(frozenset(profile.ids), lambda s: rate_of_subset(profile, s),
+                             _rate_table(profile.noise_of, profile.budget))
 
 
 @dataclass(frozen=True)
@@ -133,12 +145,12 @@ def lemma_witness(profile, base, i, j):
         raise ValueError("i and j must be distinct channels")
     if i in base or j in base:
         raise ValueError("i and j must lie outside the base set")
-    sol_ij = waterfill(profile.subset(base | {i, j}))  # raises on unknown channel ids
-    sol = waterfill(profile.subset(base))
+    sol_ij = _solve(profile, profile._known(base | {i, j}))  # raises on unknown channel ids
+    sol = _solve(profile, profile._known(base))
     if sol.water_level is None:
         raise ValueError("empty base set or zero budget: the base water level does not exist")
-    sol_i = waterfill(profile.subset(base | {i}))
-    sol_j = waterfill(profile.subset(base | {j}))
+    sol_i = _solve(profile, profile._known(base | {i}))
+    sol_j = _solve(profile, profile._known(base | {j}))
 
     monotone = (
         _leq(sol.rate, sol_i.rate)

@@ -77,13 +77,17 @@ class NoiseProfile:
         except KeyError:
             raise ValueError(f"unknown channel id: {channel!r}") from None
 
-    def subset(self, channels):
-        """Profile restricted to ``channels``, same budget, original order."""
+    def _known(self, channels):
+        """``channels`` in the profile's order; unknown ids raise ValueError."""
         keep = frozenset(channels)
         unknown = keep - set(self.ids)
         if unknown:
             raise ValueError(f"unknown channel ids: {sorted(unknown, key=repr)}")
-        ids = tuple(c for c in self.ids if c in keep)
+        return tuple(c for c in self.ids if c in keep)
+
+    def subset(self, channels):
+        """Profile restricted to ``channels``, same budget, original order."""
+        ids = self._known(channels)
         return NoiseProfile((self._noise_by_id[c] for c in ids), self.budget, ids)
 
 
@@ -237,14 +241,20 @@ def water_level(profile):
 
 def waterfill(profile):
     """Solve one profile: water level, per-channel powers, active set, rate."""
-    ids = profile.ids
-    if not ids or profile.budget == 0.0:
+    return _solve(profile, profile.ids)
+
+
+def _solve(profile, ids):
+    """``waterfill`` of the profile's channels ``ids``, in its order, from
+    its validated noises: no sub-profile is built for them."""
+    noises, budget = [profile._noise_by_id[c] for c in ids], profile.budget
+    if not ids or budget == 0.0:
         return WaterfillSolution(None, {c: 0.0 for c in ids}, frozenset(), 0.0)
-    order = sorted(range(len(ids)), key=lambda t: profile.noises[t])
-    level, k, rate = _scan([profile.noises[t] for t in order], profile.budget)
+    order = sorted(range(len(ids)), key=noises.__getitem__)
+    level, k, rate = _scan([noises[t] for t in order], budget)
     powers = {c: 0.0 for c in ids}
     for t in order[:k]:
-        powers[ids[t]] = level - profile.noises[t]
+        powers[ids[t]] = level - noises[t]
     # a budget below the resolution of the quietest noise funds it with power 0
     return WaterfillSolution(level, powers, frozenset(c for c, p in powers.items() if p > 0.0), rate)
 

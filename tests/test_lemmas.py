@@ -199,6 +199,30 @@ def test_witness_rates_agree_with_direct_solves():
         assert wit.rate_ij == both
 
 
+@settings(derandomize=True, database=None, max_examples=200)
+@given(st.data())
+def test_witness_solves_are_waterfill_on_each_sub_profile(data):
+    p = data.draw(labelled_profiles().filter(lambda p: len(p) >= 3 and p.budget > 0.0))
+    ids = data.draw(st.permutations(p.ids))
+    nb = data.draw(st.integers(1, len(ids) - 2))
+    base, i, j = frozenset(ids[:nb]), ids[nb], ids[nb + 1]
+    w = lemma_witness(p, base, i, j)
+    i, j = (j, i) if w.swapped else (i, j)
+    for suffix, channels in (("", base), ("_i", base | {i}), ("_j", base | {j}), ("_ij", base | {i, j})):
+        sol = waterfill(p.subset(channels))
+        assert (getattr(w, "level" + suffix), getattr(w, "rate" + suffix), getattr(w, "active" + suffix)) \
+            == (sol.water_level, sol.rate, sol.active_set)
+
+
+def test_witness_reports_unknown_channels_like_subset():
+    profile = NoiseProfile([1.0, 2.0, 3.0], 1.0, "abc")
+    with pytest.raises(ValueError) as subset_error:
+        profile.subset({"a", "z", 9})
+    with pytest.raises(ValueError) as witness_error:
+        lemma_witness(profile, {"a", 9}, "b", "z")
+    assert str(witness_error.value) == str(subset_error.value) == "unknown channel ids: ['z', 9]"
+
+
 def test_rate_oracle_wraps_profile():
     profile = NoiseProfile([1.0, 2.0, 4.0], 2.0)
     oracle = rate_oracle(profile)
@@ -262,14 +286,17 @@ def test_checking_a_rate_oracle_takes_one_table_call(monkeypatch):
     calls = count_calls(monkeypatch, ((sys.modules["wfalloc.waterfill"], "_subset_rates"),
                                       (lemmas, "rate_of_subset")))
     oracle = rate_oracle(NoiseProfile([3.0, 0.5, 2.0, 0.5, 7.0], 1.5, "edcba"))
-    for check in CHECKERS:
+    for first, check in zip((True, False, False), CHECKERS):
         calls.update(_subset_rates=0, rate_of_subset=0)
         assert check(oracle) == []
-        assert calls == {"_subset_rates": 1, "rate_of_subset": 0}
+        # the oracle builds its table once, for the first check; the others reuse it
+        assert calls == {"_subset_rates": int(first), "rate_of_subset": 0}
         # the same function without its table is evaluated once per subset
         calls.update(_subset_rates=0, rate_of_subset=0)
         assert check(SetFunctionOracle(oracle.ground_set, oracle.evaluate)) == []
         assert calls == {"_subset_rates": 0, "rate_of_subset": 32}
+    # the one table every check reads cannot be changed by any of them
+    assert not oracle.table(sorted(oracle.ground_set)).flags.writeable
 
 
 @settings(derandomize=True, database=None, max_examples=150)

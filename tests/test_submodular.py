@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from wfalloc.lemmas import rate_oracle
 from wfalloc.submodular import (
+    _BLOCK,
     GroundSetTooLargeError,
     SetFunctionOracle,
     _pair_index,
+    _pairwise_blocks,
+    _setpair_blocks,
     check_monotone,
     check_setpair_submodular,
     check_submodular_pairwise,
@@ -74,6 +77,24 @@ def test_pairwise_at_its_cap_reports_every_triple_in_naive_order():
     assert pairwise == naive_pairwise_violations(ground, CARD_SQUARED, 1e-9)
 
 
+def table_oracle(table):
+    return SetFunctionOracle(frozenset(range(len(table).bit_length() - 1)),
+                             lambda s: float(table[sum(1 << e for e in s)]))
+
+
+def test_pairwise_matches_plain_enumeration_across_blocks():
+    # 11,520 and 28,160 triples span two and four blocks, and random values
+    # hit some triples of each block but not others
+    rng = np.random.default_rng(61)
+    for size in (10, 11):
+        oracle = table_oracle(rng.uniform(0.0, 1.0, 1 << size))
+        for tol in (0.0, 1e-9, 0.25):
+            pairwise = [(v.base_set, v.elem_i, v.elem_j, v.lhs, v.rhs, v.gap)
+                        for v in check_submodular_pairwise(oracle, tolerance=tol)]
+            assert 0 < len(pairwise) < size * (size - 1) // 2 << size - 2
+            assert pairwise == naive_pairwise_violations(oracle.ground_set, oracle.evaluate, tol)
+
+
 # --- set-pair check -------------------------------------------------------
 
 def test_setpair_modular_and_coverage_clean():
@@ -103,6 +124,18 @@ def test_setpair_never_reports_a_nested_pair():
                 for tol in (0.0, 1e-9):
                     assert [(s, t) for s, t in check_setpair_submodular(oracle, tolerance=tol)
                             if s <= t] == []
+
+
+def test_setpair_at_its_cap_matches_plain_enumeration_across_blocks():
+    # at 8 elements the 26,335 non-nested pairs span four blocks
+    rng = np.random.default_rng(67)
+    ground = frozenset(range(8))
+    for fn in (CARD_SQUARED, table_oracle(rng.uniform(1e8, 2e8, 256)).evaluate,
+               table_oracle(rng.integers(0, 4, 256).astype(float)).evaluate):
+        for tol in (0.0, 1e-9):
+            setpair = check_setpair_submodular(SetFunctionOracle(ground, fn), tolerance=tol)
+            assert len(setpair) > _BLOCK  # hits in more than one block
+            assert setpair == naive_setpair_violations(ground, fn, tol)
 
 
 def test_definition_equivalence_on_small_ground_sets():
@@ -158,6 +191,45 @@ def test_pair_index_lists_every_nested_pair_by_mask_then_subset_descending():
         assert starts[0] == 0 and starts[-1] + sizes[-1] == 3**n
         for array in (rest, share, starts, sizes):
             assert not array.flags.writeable
+
+
+def test_check_blocks_are_cached_read_only_and_in_reporting_order():
+    for size in range(13):
+        blocks = _pairwise_blocks(size)
+        assert _pairwise_blocks(size) is blocks
+        base, both, with_i, with_j, i, j = np.concatenate(blocks, axis=1)
+        assert (base & (1 << i | 1 << j) == 0).all() and (i < j).all()
+        assert (with_i == base | 1 << i).all() and (with_j == base | 1 << j).all()
+        assert (both == with_i | with_j).all()
+        triples = list(zip(base.tolist(), i.tolist(), j.tolist()))
+        assert triples == sorted(set(triples))
+        assert len(base) == size * (size - 1) // 2 << max(size - 2, 0)
+        if size <= 8:
+            blocks = blocks + _setpair_blocks(size)
+            meet, join, s, t = np.concatenate(_setpair_blocks(size), axis=1)
+            assert list(zip(s.tolist(), t.tolist())) == \
+                [(a, b) for a in range(1 << size) for b in range(a + 1, 1 << size) if a & b != a]
+            assert (meet == s & t).all() and (join == s | t).all()
+        for block in blocks:
+            assert block.dtype == np.int32 and block.shape[1] <= _BLOCK
+            assert not block.flags.writeable
+
+
+def test_warm_gap_checks_keep_their_temporaries_small():
+    # a warm check holds a few 64 KiB temporaries of one block at a time;
+    # larger ones pass malloc's 128 KiB mmap threshold, and every call then
+    # faults fresh pages in
+    rng = np.random.default_rng(71)
+    for check, size in ((check_submodular_pairwise, 10), (check_setpair_submodular, 8)):
+        oracle = rate_oracle(NoiseProfile(rng.uniform(0.1, 10.0, size), 1.0))
+        assert check(oracle) == []  # builds the table and the blocks
+        tracemalloc.start()
+        try:
+            assert check(oracle) == []
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 384 * 2**10, (check.__name__, peak)
 
 
 # --- all three checks ----------------------------------------------------
