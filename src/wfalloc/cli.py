@@ -45,10 +45,10 @@ def _parse_reals(text, flag):
 
 
 def _snrs_to_profile(snrs, budget):
-    """Channels for the SNRs with a finite noise 1/w, keyed by their original index."""
+    """Channels for the SNRs with a finite noise 1/w, keyed by their original index, and every noise."""
     noises = _snr_noises(snrs)
     ids = [u for u, x in enumerate(noises) if x < math.inf]
-    return NoiseProfile([noises[u] for u in ids], budget, ids)
+    return NoiseProfile([noises[u] for u in ids], budget, ids), noises
 
 
 def _input_column(args):
@@ -79,7 +79,7 @@ def _cmd_waterfill(args):
         total = len(profile)
     else:
         snrs = _input_column(args) if source == "input" else _parse_reals(args.snrs, "--snrs")
-        profile = _snrs_to_profile(snrs, args.power)
+        profile, _ = _snrs_to_profile(snrs, args.power)
         total = len(snrs)
     sol = waterfill(profile)
     print(f"channels: {total}")
@@ -95,7 +95,7 @@ def _cmd_waterfill(args):
 def _cmd_check_submodular(args):
     if _source(args, "noises", "snrs") == "snrs":
         snrs = _parse_reals(args.snrs, "--snrs")
-        profile, noises = _snrs_to_profile(snrs, args.power), _snr_noises(snrs)
+        profile, noises = _snrs_to_profile(snrs, args.power)
         # every SNR stays in the ground set; an unfunded one adds no rate to any subset
         oracle = SetFunctionOracle(
             frozenset(range(len(snrs))), lambda s: rate_of_subset(profile, s.intersection(profile.ids)),

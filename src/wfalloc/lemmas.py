@@ -31,7 +31,6 @@ of the main-case bookkeeping.
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .submodular import SetFunctionOracle
 from .waterfill import NoiseProfile, _solve, _subset_tables, rate_of_subset
@@ -63,21 +62,15 @@ def _close(x, y, tol=_REL_TOL):
 
 def _rate_table(noise_of, budget):
     """An oracle ``table`` for channels of noise ``noise_of(e)``: every
-    subset's rate in one ``_subset_tables`` call, memoised on the element
-    tuple and read-only, so every check of the oracle shares one table."""
-    @lru_cache(maxsize=1)
-    def table(elems):
-        rates = _subset_tables([[noise_of(e) for e in elems]], budget)[0]
-        rates.setflags(write=False)
-        return rates
-    return lambda elems: table(tuple(elems))
+    subset's rate in one ``_subset_tables`` call."""
+    return lambda elems: _subset_tables([[noise_of(e) for e in elems]], budget)[0]
 
 
 def rate_oracle(profile: NoiseProfile) -> SetFunctionOracle:
     """The profile's subset -> optimal rate map as a checkable set function.
 
-    Its ``table`` (``_rate_table``) is built once per oracle, bit for bit
-    the rates of ``rate_of_subset``.
+    Its ``table`` (``_rate_table``) gives, bit for bit, the rates of
+    ``rate_of_subset``, and the oracle tables itself once for every check.
     """
     return SetFunctionOracle(frozenset(profile.ids), lambda s: rate_of_subset(profile, s),
                              _rate_table(profile.noise_of, profile.budget))

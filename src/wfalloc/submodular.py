@@ -9,7 +9,7 @@ than a sampled verdict. Oversized ground sets are rejected, never sampled.
 import csv
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from itertools import accumulate
 from typing import Callable
 
@@ -45,17 +45,43 @@ class SetFunctionOracle:
     """A finite ground set plus a subset -> value callable.
 
     ``evaluate`` must be deterministic and return a finite number; each
-    subset is evaluated once per check. Elements must sort consistently so
-    that enumeration order is reproducible. An oracle may also carry
-    ``table``, which maps the sorted elements to every subset's value by
-    bitmask, bit t for element t; a check then tables the function with one
-    call in place of evaluating each subset, and the table must agree with
-    ``evaluate``.
+    subset is evaluated once per oracle, not per check. Elements must sort
+    consistently so that enumeration order is reproducible. An oracle may
+    also carry ``table``, which maps the sorted elements to every subset's
+    value by bitmask, bit t for element t; the oracle then tables itself
+    with one call in place of evaluating each subset, and the table must
+    agree with ``evaluate``.
     """
 
     ground_set: frozenset
     evaluate: Callable
     table: Callable | None = None
+
+    @cached_property
+    def _subsets(self):
+        """Every subset by bitmask, bit t holding the t-th sorted element."""
+        subsets = [frozenset()]
+        for e in sorted(self.ground_set):
+            subsets += [s | {e} for s in subsets]
+        return subsets
+
+    @cached_property
+    def _values(self):
+        """Every subset's value by bitmask, read-only float64. A non-finite
+        value raises ValueError, and is not cached: a NaN fails every
+        comparison, so a check would certify vacuously."""
+        if self.table is None:
+            values = np.array([float(self.evaluate(s)) for s in self._subsets])
+        else:
+            values = np.array(self.table(sorted(self.ground_set)), dtype=np.float64)
+            if values.shape != (1 << len(self.ground_set),):
+                raise ValueError(f"table must hold one value per subset, got shape {values.shape}")
+        bad = np.flatnonzero(~np.isfinite(values))
+        if len(bad):
+            mask = int(bad[0])
+            raise ValueError(f"oracle value at {sorted(self._subsets[mask])} is not finite: {values[mask]}")
+        values.setflags(write=False)
+        return values
 
 
 @dataclass(frozen=True)
@@ -83,40 +109,14 @@ def _check_tolerance(tolerance):
 
 
 def _subset_table(oracle, tolerance, cap, check):
-    """Validate a check's arguments, then tabulate the oracle over every subset.
-
-    Returns ``(elems, values, subset)``: the sorted ground set, every
-    subset's value as a float64 array indexed by bitmask, where bit t of
-    the mask holds ``elems[t]``, and the decoder from a bitmask to its
-    frozenset. The values come from ``oracle.table`` when the oracle has
-    one, else from ``evaluate``, each subset evaluated once. A non-finite
-    tolerance or oracle value raises ValueError, since any comparison with
-    NaN is false and would certify vacuously.
-    """
+    """Validate a check's tolerance and cap before any evaluation, then return
+    the sorted ground set and the oracle's ``_values``."""
     _check_tolerance(tolerance)
     elems = sorted(oracle.ground_set)
-    u = len(elems)
-    if u > cap:
-        raise GroundSetTooLargeError(f"ground set too large for the exhaustive {check} check: {u} > {cap}")
-    if oracle.table is None:
-        subsets = [frozenset()]
-        for e in elems:
-            subsets += [s | {e} for s in subsets]
-        values = np.array([float(oracle.evaluate(s)) for s in subsets])
-        subset = subsets.__getitem__
-    else:
-        values = np.asarray(oracle.table(elems), dtype=np.float64)
-        if values.shape != (1 << u,):
-            raise ValueError(f"table must hold one value per subset, got shape {values.shape}")
-
-        def subset(mask):
-            return frozenset(e for t, e in enumerate(elems) if mask >> t & 1)
-
-    bad = np.flatnonzero(~np.isfinite(values))
-    if len(bad):
-        mask = int(bad[0])
-        raise ValueError(f"oracle value at {sorted(subset(mask))} is not finite: {float(values[mask])}")
-    return elems, values, subset
+    if len(elems) > cap:
+        raise GroundSetTooLargeError(
+            f"ground set too large for the exhaustive {check} check: {len(elems)} > {cap}")
+    return elems, oracle._values
 
 
 def _blocked(rows):
@@ -147,8 +147,9 @@ def _gap_hits(f, blocks, tolerance):
 def _pairwise_blocks(u):
     """Every triple (S, i, j) of u elements, i < j outside S, by S in counting
     order, then i, then j: rows S, S+i+j, S+i, S+j, i and j, ``_blocked``."""
-    i, j = np.triu_indices(u, 1)
-    base, pair = np.nonzero(np.arange(1 << u)[:, None] & (1 << i | 1 << j) == 0)
+    i, j = np.array(np.triu_indices(u, 1), np.int32)
+    masks = np.arange(1 << u, dtype=np.int32)
+    base, pair = np.array(np.nonzero(masks[:, None] & (1 << i | 1 << j) == 0), np.int32)
     with_i, with_j = base | 1 << i[pair], base | 1 << j[pair]
     return _blocked([base, with_i | with_j, with_i, with_j, i[pair], j[pair]])
 
@@ -162,12 +163,12 @@ def check_submodular_pairwise(oracle, tolerance=1e-9):
     ground set, of at most ``PAIRWISE_CAP`` elements. The triples gather
     from the table with ``take``, through index blocks cached per size.
     """
-    elems, f, subset = _subset_table(oracle, tolerance, PAIRWISE_CAP, "pairwise")
+    elems, f = _subset_table(oracle, tolerance, PAIRWISE_CAP, "pairwise")
     violations = []
     for (base, *_, i, j), rhs, lhs, gap in _gap_hits(f, _pairwise_blocks(len(elems)), tolerance):
         for at in range(0, len(base), _SLICE):
             rows = zip(*(side[at:at + _SLICE].tolist() for side in (base, i, j, lhs, rhs, gap)))
-            violations += [SubmodularityViolation(subset(mask), elems[a], elems[b], left, right, g)
+            violations += [SubmodularityViolation(oracle._subsets[mask], elems[a], elems[b], left, right, g)
                            for mask, a, b, left, right, g in rows]
     return violations
 
@@ -176,7 +177,7 @@ def check_submodular_pairwise(oracle, tolerance=1e-9):
 def _setpair_blocks(u):
     """Every pair S < T of u-bit masks with S not a subset of T, by S, then T:
     rows S&T, S|T, S and T, ``_blocked``."""
-    s, t = np.triu_indices(1 << u, 1)
+    s, t = np.array(np.triu_indices(1 << u, 1), np.int32)
     apart = s & t != s
     s, t = s[apart], t[apart]
     return _blocked([s & t, s | t, s, t])
@@ -192,10 +193,10 @@ def check_setpair_submodular(oracle, tolerance=1e-9):
     overflows: both sums add f(S), f(T). Nested pairs are never reported, so
     only the others gather from the table, through index blocks cached per size.
     """
-    elems, f, subset = _subset_table(oracle, tolerance, MONOTONE_SETPAIR_CAP, "set-pair")
+    elems, f = _subset_table(oracle, tolerance, MONOTONE_SETPAIR_CAP, "set-pair")
     violations = []
     for (*_, s, t), *_ in _gap_hits(f, _setpair_blocks(len(elems)), tolerance):
-        violations += [(subset(a), subset(b)) for a, b in zip(s.tolist(), t.tolist())]
+        violations += [(oracle._subsets[a], oracle._subsets[b]) for a, b in zip(s.tolist(), t.tolist())]
     return violations
 
 
@@ -239,12 +240,13 @@ def check_monotone(oracle, tolerance=1e-9):
     in ``_pair_index`` order: by T in counting order, then S from latest to
     earliest. The ground set holds at most ``MONOTONE_SETPAIR_CAP`` elements.
     """
-    elems, f, subset = _subset_table(oracle, tolerance, MONOTONE_SETPAIR_CAP, "monotonicity")
+    elems, f = _subset_table(oracle, tolerance, MONOTONE_SETPAIR_CAP, "monotonicity")
     rest, s, _, sizes = _pair_index(len(elems))
     # T's group holds sizes[T] pairs: f(T) + tolerance repeated lines up with f(S)
     with np.errstate(over="ignore"):
         hit = np.flatnonzero(f.take(s) > np.repeat(f + tolerance, sizes))
-    return [(subset(a), subset(a | b)) for a, b in zip(s[hit].tolist(), rest[hit].tolist())]
+    return [(oracle._subsets[a], oracle._subsets[a | b])
+            for a, b in zip(s[hit].tolist(), rest[hit].tolist())]
 
 
 def majorizes(a, b, tolerance=1e-9):

@@ -191,13 +191,15 @@ def test_check_submodular_snrs_tables_each_check_once(capsys, monkeypatch):
     kernel = waterfill_module._subset_rates
     monkeypatch.setattr(waterfill_module, "_subset_rates", lambda *args: calls.append(1) or kernel(*args))
     monkeypatch.setattr(cli, "rate_of_subset", lambda *args: pytest.fail("solved a subset alone"))
+    inverted, invert = [], cli._snr_noises
+    monkeypatch.setattr(cli, "_snr_noises", lambda snrs: inverted.append(1) or invert(snrs))
     # the two SNRs' joint rate is one ulp below the first's alone; the zero
     # SNR and 1e-310, whose 1/w overflows, are never funded
     code, out, err = run_cli(capsys, "check-submodular", "--snrs",
                              "2.4558498082097246,0.7106355728699795,0,1e-310", "--tolerance", "0")
     assert (code, err) == (0, "")
-    # the oracle builds its table once and all three checks read it
-    assert len(calls) == 1
+    # the SNRs are inverted once, and the oracle builds its table once for all three checks
+    assert len(inverted) == len(calls) == 1
     assert out == (
         "ground_set: 4 elements, tolerance 0\n"
         "pairwise: 0 violations in 24 triples\n"

@@ -296,7 +296,7 @@ def test_checking_a_rate_oracle_takes_one_table_call(monkeypatch):
         assert check(SetFunctionOracle(oracle.ground_set, oracle.evaluate)) == []
         assert calls == {"_subset_rates": 0, "rate_of_subset": 32}
     # the one table every check reads cannot be changed by any of them
-    assert not oracle.table(sorted(oracle.ground_set)).flags.writeable
+    assert not oracle._values.flags.writeable
 
 
 @settings(derandomize=True, database=None, max_examples=150)

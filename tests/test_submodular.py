@@ -36,6 +36,15 @@ def oracle_from(fn, size):
     return SetFunctionOracle(frozenset(range(size)), fn)
 
 
+def counted(fn):
+    """``fn`` with a count of its calls in its ``calls`` attribute."""
+    def counting(s):
+        counting.calls += 1
+        return fn(s)
+    counting.calls = 0
+    return counting
+
+
 MODULAR = lambda s: float(len(s))
 CARD_SQUARED = lambda s: float(len(s)) ** 2
 COVERAGE = lambda s: float(min(len(s), 1))
@@ -108,8 +117,10 @@ def test_setpair_waterfilling_rate_is_clean():
 
 
 def test_setpair_cap():
+    evaluate = counted(MODULAR)
     with pytest.raises(GroundSetTooLargeError):
-        check_setpair_submodular(oracle_from(MODULAR, 9))
+        check_setpair_submodular(oracle_from(evaluate, 9))
+    assert evaluate.calls == 0  # rejected before the oracle tables itself
 
 
 def test_setpair_never_reports_a_nested_pair():
@@ -232,6 +243,17 @@ def test_warm_gap_checks_keep_their_temporaries_small():
         assert peak < 384 * 2**10, (check.__name__, peak)
 
 
+def test_a_fresh_pairwise_build_at_twelve_stays_small():
+    # int32 from the start: int64 triu_indices, nonzero and masks peaked at 5.4 MB
+    tracemalloc.start()
+    try:
+        _pairwise_blocks.__wrapped__(12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 2**20, peak
+
+
 # --- all three checks ----------------------------------------------------
 
 def test_pair_checks_stay_small_at_twelve_elements():
@@ -332,6 +354,48 @@ def test_a_table_is_checked_like_evaluate(check):
         check(tabled([0.0, 1.0, math.nan, 2.0]))
     with pytest.raises(ValueError, match="one value per subset"):
         check(tabled([0.0, 1.0]))
+
+
+def test_an_oracle_is_evaluated_once_for_every_check():
+    evaluate = counted(PAIRS)
+    oracle = oracle_from(evaluate, 5)
+    for check in CHECKERS + CHECKERS:
+        check(oracle)
+        assert evaluate.calls == 32
+
+
+@pytest.mark.parametrize("tabled", [False, True])
+def test_a_non_finite_value_is_rejected_by_every_check(tabled):
+    # nothing is cached when tabling raises, so no later check certifies
+    values = [0.0, 1.0, 1.0, math.nan]
+    oracle = SetFunctionOracle(frozenset("ab"), lambda s: values[("a" in s) + 2 * ("b" in s)],
+                               (lambda elems: values) if tabled else None)
+    for check in CHECKERS + CHECKERS:
+        with pytest.raises(ValueError, match=r"at \['a', 'b'\] is not finite: nan"):
+            check(oracle)
+
+
+def test_a_check_without_hits_decodes_no_subset():
+    oracle = rate_oracle(NoiseProfile([3.0, 0.5, 2.0, 0.5, 7.0], 1.5))
+    for check in CHECKERS:
+        assert check(oracle) == []
+    assert "_values" in vars(oracle) and "_subsets" not in vars(oracle)
+
+
+def test_every_hit_decodes_to_the_oracles_own_subsets():
+    # 11,520 violations share the oracle's 1,024 subsets (~3.1 MB peak);
+    # decoding a fresh frozenset per hit peaked at 7.7 MB
+    _pairwise_blocks(10)
+    oracle = oracle_from(CARD_SQUARED, 10)
+    tracemalloc.start()
+    try:
+        violations = check_submodular_pairwise(oracle)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(violations) == 11_520
+    assert all(v.base_set is oracle._subsets[sum(1 << e for e in v.base_set)] for v in violations)
+    assert peak < 4 * 2**20, peak
 
 
 # --- majorization ---------------------------------------------------------
