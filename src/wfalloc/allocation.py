@@ -307,7 +307,11 @@ def system_utility(alloc, W):
     if alloc.user_ids != frozenset(range(W.n)):
         raise ValueError("allocation does not partition the arrived users")
     columns = W.weights.T.tolist()
-    return sum(log_utility([columns[j][u] for u in part]) for j, part in enumerate(alloc.parts))
+    total = 0.0
+    for j, part in enumerate(alloc.parts):
+        # left to right, one += each, as _scan adds: sum is compensated from Python 3.12
+        total += log_utility([columns[j][u] for u in part])
+    return total
 
 
 def check_bruteforce_size(n, m):
@@ -408,11 +412,8 @@ def offline_upper_bound(W):
     optimal, and a station with k users is worth k * log(1 + w_max / k).
     """
     n, m = W.n, W.m
-    if n == 0:
-        return 0.0
-    w_max = float(W.weights.max())
-    if w_max == 0.0:
-        return 0.0
+    # 0.0 with no users or no signal; + 0.0 turns an all -0.0 matrix's max into 0.0
+    w_max = float(W.weights.max(initial=0.0)) + 0.0
     big, rem = divmod(n, m)
     total = rem * (big + 1) * math.log1p(w_max / (big + 1))
     if big > 0:

@@ -19,9 +19,10 @@ numerically:
   * the matching term counts on both sides;
   * the product inequality itself.
 
-``build_majorization_vectors`` lays the same numbers out as an equal-sum
-pair of descending vectors whose majorization order settles the product
-comparison through convexity of -log.
+The last three are decided on the vector pair (a, b) that
+``build_majorization_vectors`` lays out: equal lengths, equal sums, and
+Karamata's inequality for the convex -log, which is the product comparison
+that the majorization order of (a, b) settles.
 
 If a newcomer is not funded in the joint solve (an easy case), the joint
 solve coincides with the solve that omits it and the pairwise inequality
@@ -32,7 +33,7 @@ of the main-case bookkeeping.
 import math
 from dataclasses import dataclass
 
-from .submodular import SetFunctionOracle
+from .submodular import SetFunctionOracle, karamata_holds
 from .waterfill import NoiseProfile, _solve, _subset_tables, rate_of_subset
 
 __all__ = [
@@ -52,12 +53,12 @@ EASY_J_INACTIVE = "easy_j_inactive"
 _REL_TOL = 1e-9
 
 
-def _leq(x, y, tol=_REL_TOL):
-    return x <= y + tol * max(1.0, abs(x), abs(y))
+def _leq(x, y):
+    return x <= y + _REL_TOL * max(1.0, abs(x), abs(y))
 
 
-def _close(x, y, tol=_REL_TOL):
-    return abs(x - y) <= tol * max(1.0, abs(x), abs(y))
+def _close(x, y):
+    return abs(x - y) <= _REL_TOL * max(1.0, abs(x), abs(y))
 
 
 def _rate_table(noise_of, budget):
@@ -164,8 +165,8 @@ def lemma_witness(profile, base, i, j):
             i, j = j, i
             sol_i, sol_j = sol_j, sol_i
         noise = profile.noise_of
-        act, act_i, act_j, act_ij = (sol.active_set, sol_i.active_set,
-                                     sol_j.active_set, sol_ij.active_set)
+        actives = act, act_i, act_j, act_ij = (sol.active_set, sol_i.active_set,
+                                               sol_j.active_set, sol_ij.active_set)
         others_ij = act_ij - {i, j}
         others_i = act_i - {i}
         others_j = act_j - {j}
@@ -178,36 +179,22 @@ def lemma_witness(profile, base, i, j):
             and others_j <= act
         )
 
-        lv, lv_i, lv_j, lv_ij = (sol.water_level, sol_i.water_level,
-                                 sol_j.water_level, sol_ij.water_level)
+        levels = lv, lv_i, lv_j, lv_ij = (sol.water_level, sol_i.water_level,
+                                          sol_j.water_level, sol_ij.water_level)
         ordering = (
             _leq(lv_ij, lv_i) and _leq(lv_i, lv_j) and _leq(lv_j, lv)
             and all(_leq(lv_ij, noise(c)) and _leq(noise(c), lv_i) for c in displaced_i)
             and all(_leq(lv_j, noise(c)) and _leq(noise(c), lv) for c in displaced)
         )
 
-        lost_noises = sorted(noise(c) for c in displaced)
-        lost_noises_i = sorted(noise(c) for c in displaced_i)
-        lhs_sum = len(act_i) * lv_i + len(act_j) * lv_j + sum(lost_noises)
-        rhs_sum = len(act) * lv + len(act_ij) * lv_ij + sum(lost_noises_i)
-        sum_ok = _close(lhs_sum, rhs_sum)
-        count_ok = (len(act_i) + len(act_j) + len(displaced)
-                    == len(act) + len(act_ij) + len(displaced_i))
-
-        # Compare the products in log space; an absolute log tolerance is a
-        # relative tolerance on the products themselves.
-        lhs_log = (len(act_i) * math.log(lv_i) + len(act_j) * math.log(lv_j)
-                   + sum(math.log(x) for x in lost_noises))
-        rhs_log = (len(act) * math.log(lv) + len(act_ij) * math.log(lv_ij)
-                   + sum(math.log(x) for x in lost_noises_i))
-        product_ok = lhs_log >= rhs_log - _REL_TOL
-
+        a, b = _vectors(noise, levels, actives, displaced_i, displaced)
+        count_ok = len(a) == len(b)  # a theorem; karamata_holds raises on unequal lengths
         case, extra = MAIN_CASE, dict(
             others_ij=others_ij, others_i=others_i, others_j=others_j,
             displaced_i=displaced_i, displaced=displaced,
             decomposition_disjoint=decomposition, ordering_holds=ordering,
-            sum_identity_holds=sum_ok, count_identity_holds=count_ok,
-            product_inequality_holds=product_ok,
+            sum_identity_holds=_close(sum(a), sum(b)), count_identity_holds=count_ok,
+            product_inequality_holds=count_ok and karamata_holds(a, b, lambda x: -math.log(x), _REL_TOL),
         )
     return LemmaWitness(
         profile=profile, base=base, elem_i=i, elem_j=j, swapped=swapped, case=case,
@@ -232,11 +219,20 @@ def build_majorization_vectors(witness):
     """
     if witness.case != MAIN_CASE:
         raise ValueError("majorization vectors exist only for a main-case witness")
-    noise = witness.profile.noise_of
-    a = ([witness.level] * len(witness.active)
-         + sorted((noise(c) for c in witness.displaced_i), reverse=True)
-         + [witness.level_ij] * len(witness.active_ij))
-    b = (sorted((noise(c) for c in witness.displaced), reverse=True)
-         + [witness.level_j] * len(witness.active_j)
-         + [witness.level_i] * len(witness.active_i))
+    w = witness
+    return _vectors(w.profile.noise_of, (w.level, w.level_i, w.level_j, w.level_ij),
+                    (w.active, w.active_i, w.active_j, w.active_ij), w.displaced_i, w.displaced)
+
+
+def _vectors(noise, levels, actives, displaced_i, displaced):
+    """``build_majorization_vectors``' layout, shared with ``lemma_witness``:
+    ``levels`` and ``actives`` are the base, i, j and joint problems'."""
+    level, level_i, level_j, level_ij = levels
+    active, active_i, active_j, active_ij = actives
+    a = ([level] * len(active)
+         + sorted((noise(c) for c in displaced_i), reverse=True)
+         + [level_ij] * len(active_ij))
+    b = (sorted((noise(c) for c in displaced), reverse=True)
+         + [level_j] * len(active_j)
+         + [level_i] * len(active_i))
     return tuple(a), tuple(b)

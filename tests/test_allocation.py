@@ -1,6 +1,8 @@
+import functools
 import gc
 import inspect
 import math
+import operator
 import time
 import tracemalloc
 
@@ -444,6 +446,22 @@ def test_greedy_absolute_scored_station_wins_a_tie_after_a_solve(monkeypatch):
     assert online_greedy(W, "absolute_value").parts == greedy_by_hand(W, "absolute_value")
 
 
+def test_greedy_absolute_order_swaps_a_station_whose_utility_fell_back():
+    # users 0 and 1 take stations 0 and 1 at L{x} each. User 2 ties at
+    # L{x, c} and joins station 0, whose utility falls one ulp below station
+    # 1's L{x}: order swaps station 0 toward the back, keeping its invariant
+    x, c = NON_MONOTONE_PAIR
+    W = WeightMatrix([[x, x], [c, x], [c, c]])
+    assert online_greedy(W, "absolute_value").parts == greedy_by_hand(W, "absolute_value") \
+        == (frozenset({0, 2}), frozenset({1}))
+    arrivals = allocation._greedy_arrivals(W, False)
+    orders = []
+    for _, utils in arrivals:
+        orders.append(list(arrivals.gi_frame.f_locals["order"]))
+        assert orders[-1] == sorted(range(W.m), key=lambda j: (-utils[j], j))
+    assert orders == [[0, 1], [0, 1], [1, 0]]
+
+
 @st.composite
 def stations_and_rows(draw):
     """Up to 5 stations' SNRs and a row with one arriving SNR per station:
@@ -511,6 +529,21 @@ def test_system_utility_examples():
     W2 = WeightMatrix([[10.0], [10.0]])
     assert system_utility(Allocation((frozenset({0, 1}),)), W2) == pytest.approx(
         2 * math.log(6.0), abs=1e-12)
+
+
+def test_system_utility_adds_stations_left_to_right():
+    # one += per station, as _scan adds: on the 7th draw a compensated sum
+    # (fsum, and Python's sum from 3.12) rounds one ulp below the plain fold,
+    # so this test fails there against a system_utility built on sum
+    rng = np.random.default_rng(0)
+    for draw in range(8):
+        W = WeightMatrix(rng.uniform(0, 10, (6, 3)))
+        alloc = online_greedy(W, "marginal_gain")
+        utils = [log_utility([W.weights[u, j] for u in part]) for j, part in enumerate(alloc.parts)]
+        plain = functools.reduce(operator.add, utils, 0.0)
+        assert system_utility(alloc, W).hex() == plain.hex()
+        if draw == 6:
+            assert (plain.hex(), math.fsum(utils).hex()) == ("0x1.0f16a595b7110p+3", "0x1.0f16a595b710fp+3")
 
 
 def test_system_utility_partition_errors():
@@ -716,6 +749,9 @@ def test_upper_bound_examples():
     Wn = WeightMatrix(np.full((4, 4), 3.0))
     assert offline_upper_bound(Wn) == pytest.approx(4 * math.log(4.0), abs=1e-12)
     assert offline_upper_bound(WeightMatrix(np.zeros((3, 2)))) == 0.0
+    # no users: the formula alone gives 0.0; an all -0.0 matrix gives +0.0
+    assert offline_upper_bound(WeightMatrix(np.zeros((0, 3)))) == 0.0
+    assert math.copysign(1.0, offline_upper_bound(WeightMatrix(-np.zeros((3, 2))))) == 1.0
 
 
 def test_upper_bound_dominates_bruteforce():

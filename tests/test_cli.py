@@ -285,6 +285,13 @@ def test_check_submodular_too_large(capsys):
     assert "ground set too large" in err
 
 
+def test_check_submodular_skips_monotone_and_setpair_above_their_cap(capsys):
+    code, out, err = run_cli(capsys, "check-submodular", "--noises", ",".join(["1.0"] * 9))
+    assert (code, err) == (0, "")
+    assert out.endswith("monotone: skipped (ground set above cap 8)\n"
+                        "setpair: skipped (ground set above cap 8)\n")
+
+
 def test_check_submodular_rejections_print_nothing(capsys):
     for noises, tolerance, code in (("1,2,3", "nan", 2), ("1,2,3", "-1", 2),
                                     (",".join(["1.0"] * 13), "1e-9", 3)):
@@ -331,6 +338,12 @@ def test_simulate_bruteforce_exact_stdout(capsys):
         "  bs_2: \n"
         "  bs_3: \n"
     )
+
+
+def test_simulate_needs_users_and_basestations_with_a_profile(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--profile", "iid-unit")
+    assert (code, out) == (2, "")
+    assert "need --input, or --profile with --users and --basestations" in err
 
 
 def test_simulate_rejects_both_sources(capsys, tmp_path):

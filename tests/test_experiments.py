@@ -19,6 +19,19 @@ def test_zero_trials_yield_nothing_but_validate():
     assert run_experiment("iid_unit", 5, 2, 0) == []
     with pytest.raises(ValueError, match="unknown profile kind"):
         run_experiment("weird", 5, 2, 0)
+    # no trial computes a reference, so only the up-front check rejects it
+    with pytest.raises(ValueError, match="unknown reference kind 'exact'"):
+        run_experiment("iid_unit", 5, 2, 0, reference_kind="exact")
+
+
+def test_bad_strategies_and_trials_are_rejected_before_any_work():
+    # an unknown strategy is named before the too-large brute force is tried
+    W = generate(ProfileSpec("iid_unit", 30, 4, 0))
+    with pytest.raises(ValueError, match="unknown strategy 'best'"):
+        evaluate_strategies(W, ("greedy", "best"), "brute_force_optimum",
+                            trial=0, profile_name="iid-unit", seed=0)
+    with pytest.raises(ValueError, match="trials must be nonnegative"):
+        run_experiment("iid_unit", 5, 2, -1)
 
 
 def test_records_are_deterministic_and_paired():

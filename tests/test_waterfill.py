@@ -43,6 +43,12 @@ def test_profile_rejects_negative_budget():
         NoiseProfile([1.0], -0.5)
 
 
+def test_profile_rejects_a_wrong_number_of_ids():
+    for ids in (["a"], ["a", "b", "c"]):
+        with pytest.raises(ValueError, match="exactly one channel id per noise"):
+            NoiseProfile([1.0, 2.0], 1.0, ids=ids)
+
+
 def test_profile_rejects_duplicate_ids():
     with pytest.raises(ValueError, match="distinct"):
         NoiseProfile([1.0, 2.0], 1.0, ids=["a", "a"])
