@@ -3,7 +3,10 @@
 Five profile kinds cover the simulation scenarios: two i.i.d. uniform
 ranges, a split population, a sparse case with a few strong links per user,
 and a fully correlated case where each user's SNRs take only two tied
-values. Generation is a pure function of (kind, n, m, seed).
+values. Generation is a pure function of (kind, n, m, seed): each kind
+draws from one ``numpy.random.default_rng(seed)`` in a fixed order of
+whole-matrix draws, listed in ``generate``'s docstring. That order is the
+reproducibility contract; changing it changes every matrix of the kind.
 """
 
 import csv
@@ -66,14 +69,21 @@ class ProfileSpec:
 def generate(spec: ProfileSpec) -> WeightMatrix:
     """Draw the weight matrix for ``spec``. Deterministic given the spec.
 
-    Kinds:
-      * iid_unit       every SNR uniform on [0, 1)
-      * iid_ten        every SNR uniform on [0, 10)
-      * mixed_half     first ceil(n/2) users uniform on [0, 10), rest [0, 5)
+    Kinds, each with its draw order from ``default_rng(seed)``:
+      * iid_unit       every SNR uniform on [0, 1): ``uniform(0, 1, (n, m))``
+      * iid_ten        every SNR uniform on [0, 10): ``uniform(0, 10, (n, m))``
+      * mixed_half     first ceil(n/2) users uniform on [0, 10), rest [0, 5):
+                       ``uniform(0, 10, (ceil(n/2), m))``, then
+                       ``uniform(0, 5, (n - ceil(n/2), m))``
       * sparse_strong  per user, a random 3-subset of stations uniform on
-                       [0, 10), the others uniform on [0, 1)
+                       [0, 10), the others uniform on [0, 1):
+                       ``uniform(0, 1, (n, m))``, then the 3-subsets
+                       (``_three_picks``), then ``uniform(0, 10, (n, 3))``
+                       written into them
       * correlated     per user, one draw v uniform on [0, 10); a random
-                       3-subset gets v, the others v/2
+                       3-subset gets v, the others v/2:
+                       ``uniform(0, 10, (n, 1))``, then the 3-subsets;
+                       no further draw
     """
     rng = np.random.default_rng(spec.seed)
     n, m = spec.n, spec.m
@@ -88,17 +98,30 @@ def generate(spec: ProfileSpec) -> WeightMatrix:
         w[top:] = rng.uniform(0.0, 5.0, (n - top, m))
     elif spec.kind == "sparse_strong":
         w = rng.uniform(0.0, 1.0, (n, m))
-        for u in range(n):
-            strong = rng.choice(m, 3, replace=False)
-            w[u, strong] = rng.uniform(0.0, 10.0, 3)
+        strong = _three_picks(rng, n, m)
+        np.put_along_axis(w, strong, rng.uniform(0.0, 10.0, (n, 3)), axis=1)
     else:  # correlated
-        w = np.empty((n, m))
-        for u in range(n):
-            v = rng.uniform(0.0, 10.0)
-            strong = rng.choice(m, 3, replace=False)
-            w[u] = v / 2.0
-            w[u, strong] = v
+        v = rng.uniform(0.0, 10.0, (n, 1))
+        strong = _three_picks(rng, n, m)
+        w = np.repeat(v / 2.0, m, axis=1)
+        np.put_along_axis(w, strong, v, axis=1)
     return WeightMatrix(w)
+
+
+def _three_picks(rng, n, m):
+    """An (n, 3) array holding a uniformly random 3-subset of range(m) per row.
+
+    Floyd's sampler, one column at a time for all rows: for top = m-3, m-2,
+    m-1, draw uniformly from 0..top, and where the draw repeats an earlier
+    pick in its row take top instead. Three ``integers`` calls, O(n) memory.
+    """
+    picks = np.empty((n, 3), dtype=np.intp)
+    for col, top in enumerate(range(m - 3, m)):
+        draw = rng.integers(0, top, n, endpoint=True)
+        for earlier in picks.T[:col]:  # all below top, so a taken top never matches
+            draw[draw == earlier] = top
+        picks[:, col] = draw
+    return picks
 
 
 def _csv_header(m):

@@ -363,14 +363,14 @@ def test_greedy_solves_few_stations_per_arrival(monkeypatch):
     # station not past its cutoff took 8.5 (marginal) and 15.3 (absolute)
     # solves per arrival on iid-ten; pruning by the gain bound takes 1.4 and
     # 0.33. In absolute mode the best-first visits bound 0.36 stations per
-    # arrival on iid-ten and 0.18 on correlated, where bounding every station
+    # arrival on iid-ten and 0.17 on correlated, where bounding every station
     # not past its cutoff took 15.3 and 15.1. Both modes' (solves, bounds)
     # counts are pinned exactly, so any added work shows.
     scans, bounds = [], []
     scan, gain_bound = allocation._scan, allocation._gain_bound
     monkeypatch.setattr(allocation, "_scan", lambda *args: scans.append(args) or scan(*args))
     monkeypatch.setattr(allocation, "_gain_bound", lambda *args: bounds.append(args) or gain_bound(*args))
-    for kind, counts in (("iid_ten", ((563, 3417), (132, 146))), ("correlated", ((485, 2856), (58, 71)))):
+    for kind, counts in (("iid_ten", ((563, 3417), (132, 146))), ("correlated", ((456, 2593), (54, 67)))):
         W = generate(ProfileSpec(kind, 400, 16, 1))
         for mode, most, exact in zip(GREEDY_MODES, (1.5, 0.5), counts):
             scans.clear()

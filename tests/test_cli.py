@@ -328,12 +328,12 @@ def test_simulate_bruteforce_exact_stdout(capsys):
     assert err == ""
     assert out == (
         "users: 6  basestations: 3\n"
-        "reference (brute_force_optimum): 6.12844613164\n"
-        "strategy greedy: utility 6.09072098531 ratio 1.00619387203\n"
-        "  bs_1: 0\n"
-        "  bs_2: 1 4\n"
-        "  bs_3: 2 3 5\n"
-        "strategy max-weight: utility 3.14524374127 ratio 1.94848051082\n"
+        "reference (brute_force_optimum): 8.12596721377\n"
+        "strategy greedy: utility 8.10708690013 ratio 1.00232886533\n"
+        "  bs_1: 0 3\n"
+        "  bs_2: 1 5\n"
+        "  bs_3: 2 4\n"
+        "strategy max-weight: utility 4.36525970827 ratio 1.86150830806\n"
         "  bs_1: 0 1 2 3 4 5\n"
         "  bs_2: \n"
         "  bs_3: \n"

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from wfalloc import profiles
 from wfalloc.profiles import (
     PROFILE_KINDS,
     ProfileSpec,
@@ -70,6 +71,109 @@ def test_correlated_rows_are_two_tied_values():
             assert values[1] == pytest.approx(2 * values[0], rel=1e-12)
         strong = row == row.max()
         assert strong.sum() == 3 or len(values) == 1
+
+
+def floyd_by_hand(rng, n, m):
+    """Floyd's sampler row by row, from the same three column draws."""
+    draws = [rng.integers(0, top, n, endpoint=True) for top in range(m - 3, m)]
+    rows = []
+    for u in range(n):
+        picks = []
+        for top, draw in zip(range(m - 3, m), draws):
+            t = int(draw[u])
+            picks.append(top if t in picks else t)
+        rows.append(picks)
+    return np.array(rows)
+
+
+def test_three_picks_are_distinct_and_in_range():
+    rng = np.random.default_rng(2026)
+    for m in range(3, 17):
+        picks = np.sort(profiles._three_picks(rng, 2000, m), axis=1)
+        assert picks.shape == (2000, 3)
+        assert picks[:, 0].min() >= 0 and picks[:, 2].max() < m
+        assert (np.diff(picks, axis=1) > 0).all()
+
+
+def test_generate_follows_its_documented_draw_order():
+    # the reproducibility contract of the two kinds with 3 strong stations,
+    # rebuilt from the docstring with a row-by-row sampler
+    n, m, seed = 50, 7, 3
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.0, 1.0, (n, m))
+    strong = floyd_by_hand(rng, n, m)
+    values = rng.uniform(0.0, 10.0, (n, 3))
+    for u in range(n):
+        w[u, strong[u]] = values[u]
+    assert generate(ProfileSpec("sparse_strong", n, m, seed)) == WeightMatrix(w)
+
+    rng = np.random.default_rng(seed)
+    v = rng.uniform(0.0, 10.0, (n, 1))
+    strong = floyd_by_hand(rng, n, m)
+    w = np.empty((n, m))
+    for u in range(n):
+        w[u] = v[u, 0] / 2.0
+        w[u, strong[u]] = v[u, 0]
+    assert generate(ProfileSpec("correlated", n, m, seed)) == WeightMatrix(w)
+
+
+def test_three_picks_subsets_are_uniform():
+    # chi-square over the C(5, 3) = 10 subsets of 5 stations, 10,000 rows
+    # expected in each; 27.88 is the 99.9% point at 9 degrees of freedom
+    n = 100_000
+    picks = profiles._three_picks(np.random.default_rng(2027), n, 5)
+    subsets = (1 << picks).sum(axis=1)  # a bitmask per row
+    _, counts = np.unique(subsets, return_counts=True)
+    assert len(counts) == math.comb(5, 3)
+    expected = n / math.comb(5, 3)
+    assert ((counts - expected) ** 2 / expected).sum() < 27.88
+
+
+def test_three_picks_station_frequency():
+    # each of 16 stations is in a row's subset with probability 3/16; at
+    # 200,000 rows a 2% deviation is over 4 standard deviations
+    n, m = 200_000, 16
+    picks = profiles._three_picks(np.random.default_rng(2028), n, m)
+    frequency = np.bincount(picks.ravel(), minlength=m) / n
+    assert np.abs(frequency / (3 / m) - 1.0).max() <= 0.02
+
+
+class CountingGenerator:
+    """A numpy Generator that counts the calls made to its methods."""
+
+    def __init__(self, rng):
+        self._rng = rng
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def test_generate_draws_whole_matrices(monkeypatch):
+    # every kind makes a fixed number of Generator calls, whatever n: no
+    # per-user loop of draws
+    made = []
+    default_rng = np.random.default_rng
+
+    def counting_rng(seed):
+        made.append(CountingGenerator(default_rng(seed)))
+        return made[-1]
+
+    monkeypatch.setattr(profiles.np.random, "default_rng", counting_rng)
+    for kind in PROFILE_KINDS:
+        calls = []
+        for n in (10, 2000):
+            made.clear()
+            generate(ProfileSpec(kind, n, 16, 5))
+            assert len(made) == 1
+            calls.append(made[0].calls)
+        assert calls[0] == calls[1], kind
 
 
 def test_determinism_and_seed_sensitivity():
