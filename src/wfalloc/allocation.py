@@ -10,7 +10,7 @@ user subsets, desk scale only) or from an analytic upper bound.
 
 import math
 from bisect import insort
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 
 import numpy as np
@@ -85,9 +85,15 @@ class WeightMatrix:
 
 @dataclass(frozen=True)
 class Allocation:
-    """A partition of the arrived users into per-basestation sets."""
+    """A partition of the arrived users into per-basestation sets.
+
+    Online greedy also carries its own sum of the station utilities, which
+    ``_utility_of`` reports in place of a ``system_utility`` recomputation.
+    It takes no part in equality, hashing or ``repr``.
+    """
 
     parts: tuple
+    _utility: float | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         parts = tuple(frozenset(p) for p in self.parts)
@@ -187,13 +193,23 @@ def online_greedy(W, mode="marginal_gain"):
       is kept: a rounded level can sit above a dry noise, and a later user
       can fund it again, where a station that had dropped it would score
       differently from ``log_utility``.
+
+    The returned allocation carries the station utilities greedy ends with,
+    added left to right with one ``+=`` each as ``system_utility`` adds
+    them. A user scored past a station's cutoff joins without a solve and
+    never enters that station's noise list, but by the cutoff argument
+    above the solve would have returned the same rate bit for bit, so each
+    station's utility, and the sum, equal ``system_utility``'s.
     """
     if mode not in GREEDY_MODES:
         raise ValueError(f"unknown greedy mode {mode!r}; expected one of {GREEDY_MODES}")
-    parts = [[] for _ in range(W.m)]
-    for user, (j, _) in enumerate(_greedy_arrivals(W, mode == "marginal_gain")):
+    parts, utils = [[] for _ in range(W.m)], [0.0] * W.m
+    for user, (j, utils) in enumerate(_greedy_arrivals(W, mode == "marginal_gain")):
         parts[j].append(user)
-    return Allocation(tuple(parts))
+    utility = 0.0
+    for value in utils:
+        utility += value  # system_utility's rule: one += per station, left to right
+    return Allocation(tuple(parts), utility)
 
 
 def _greedy_arrivals(W, marginal):
@@ -306,12 +322,24 @@ def system_utility(alloc, W):
         raise ValueError(f"allocation has {alloc.m} parts but the matrix has {W.m} basestations")
     if alloc.user_ids != frozenset(range(W.n)):
         raise ValueError("allocation does not partition the arrived users")
-    columns = W.weights.T.tolist()
-    total = 0.0
-    for j, part in enumerate(alloc.parts):
+    m = W.m
+    # gather only the n assigned SNRs, part after part
+    snrs = W.weights.take([u * m + j for j, part in enumerate(alloc.parts) for u in part]).tolist()
+    total, start = 0.0, 0
+    for part in alloc.parts:
+        end = start + len(part)
         # left to right, one += each, as _scan adds: sum is compensated from Python 3.12
-        total += log_utility([columns[j][u] for u in part])
+        total += log_utility(snrs[start:end])
+        start = end
     return total
+
+
+def _utility_of(alloc, W):
+    """The utility a strategy carried in ``alloc`` (online greedy's own
+    sum), else the ``system_utility`` recomputation."""
+    if alloc._utility is None:
+        return system_utility(alloc, W)
+    return alloc._utility
 
 
 def check_bruteforce_size(n, m):
@@ -452,9 +480,8 @@ def reference_value(W, reference_kind):
 
 def competitive_ratio(W, strategy, reference_kind="brute_force_optimum"):
     """Offline reference divided by the strategy's online utility."""
-    alloc = run_strategy(strategy, W)
-    utility = system_utility(alloc, W)
     reference = reference_value(W, reference_kind)
+    utility = _utility_of(run_strategy(strategy, W), W)
     return RatioReport(
         online_utility=utility,
         offline_reference=reference,

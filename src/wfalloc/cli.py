@@ -9,8 +9,8 @@ import argparse
 import math
 import sys
 
-from .allocation import (STRATEGIES, InstanceTooLargeError, ratio_value, reference_value,
-                         run_strategy, system_utility)
+from .allocation import (STRATEGIES, InstanceTooLargeError, _utility_of, ratio_value,
+                         reference_value, run_strategy)
 from .experiments import _fmt, evaluate_strategies, run_experiment, summarize, write_records_csv
 from .lemmas import _rate_table, rate_oracle
 from .profiles import PRNG_ALGORITHM, PROFILE_KINDS, ProfileSpec, _check_seed, generate, replay_from_csv
@@ -145,7 +145,7 @@ def _cmd_simulate(args):
     print(f"reference ({reference_kind}): {_fmt(reference)}")
     for strategy in strategies:
         alloc = run_strategy(strategy, W)
-        utility = system_utility(alloc, W)
+        utility = _utility_of(alloc, W)
         ratio = ratio_value(reference, utility)
         print(f"strategy {strategy}: utility {_fmt(utility)} ratio {_fmt(ratio)}")
         for j, part in enumerate(alloc.parts):

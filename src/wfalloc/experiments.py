@@ -12,11 +12,11 @@ from statistics import fmean
 from .allocation import (
     REFERENCE_KINDS,
     STRATEGIES,
+    _utility_of,
     check_bruteforce_size,
     ratio_value,
     reference_value,
     run_strategy,
-    system_utility,
 )
 from .profiles import ProfileSpec, generate
 
@@ -71,7 +71,7 @@ def evaluate_strategies(W, strategies, reference_kind, *, trial, profile_name, s
     reference = reference_value(W, reference_kind)
     records = []
     for strategy in strategies:
-        utility = system_utility(run_strategy(strategy, W), W)
+        utility = _utility_of(run_strategy(strategy, W), W)
         records.append(ExperimentRecord(
             trial=trial, n=W.n, m=W.m, profile=profile_name, strategy=strategy,
             utility=utility, offline_bound=reference, reference_kind=reference_kind,

@@ -1,6 +1,7 @@
 import functools
 import gc
 import inspect
+import itertools
 import math
 import operator
 import time
@@ -18,6 +19,7 @@ from wfalloc.allocation import (
     InstanceTooLargeError,
     RatioReport,
     WeightMatrix,
+    _utility_of,
     check_bruteforce_size,
     competitive_ratio,
     max_weight,
@@ -28,7 +30,7 @@ from wfalloc.allocation import (
     run_strategy,
     system_utility,
 )
-from wfalloc.profiles import ProfileSpec, generate
+from wfalloc.profiles import PROFILE_KINDS, ProfileSpec, generate
 from wfalloc.submodular import SetFunctionOracle, check_monotone, check_submodular_pairwise
 from wfalloc.waterfill import NoiseProfile, _scan, _snr_noises, log_utility, water_level, waterfill
 
@@ -179,8 +181,9 @@ def test_greedy_keeps_a_dry_channel_that_rounding_funds_again():
     assert online_greedy(W).parts == greedy_by_hand(W) == (frozenset({1, 2, 3, 5}), frozenset({0, 4}))
 
 
-def test_greedy_matches_reference_next_to_the_water_level():
-    # each planted SNR puts a user's noise within 3 ulps of a station's level
+def near_water_level_matrices():
+    """(W, mode) pairs where each planted SNR puts a user's noise within 3
+    ulps of the level of a station of mode's greedy."""
     rng = np.random.default_rng(93)
     for trial in range(150):
         mode = GREEDY_MODES[trial % 2]
@@ -194,7 +197,11 @@ def test_greedy_matches_reference_next_to_the_water_level():
                     level = water_level(NoiseProfile(noises, 1.0))
                     row[j] = 1.0 / level * (1.0 + int(rng.integers(-3, 4)) * 2.0 ** -52)
             rows = np.vstack([rows, row])
-        W = WeightMatrix(rows)
+        yield WeightMatrix(rows), mode
+
+
+def test_greedy_matches_reference_next_to_the_water_level():
+    for W, mode in near_water_level_matrices():
         assert online_greedy(W, mode).parts == greedy_by_hand(W, mode)
 
 
@@ -320,10 +327,11 @@ def test_gain_bound_covers_every_computed_score(state):
     assert value <= util + half <= util + bound
 
 
-def test_greedy_matches_reference_on_planted_near_ties():
-    # every column copies one base column with each SNR nudged by up to 3
-    # ulps, and some SNRs sit within 3 ulps of a station's level, so the
-    # stations' bounds and scores tie the best within rounding
+def planted_near_tie_matrices():
+    """(W, mode) pairs where every column copies one base column with each
+    SNR nudged by up to 3 ulps, and some SNRs sit within 3 ulps of a
+    station's level, so the stations' bounds and scores tie the best within
+    rounding."""
     rng = np.random.default_rng(94)
     for trial in range(120):
         mode = GREEDY_MODES[trial % 2]
@@ -338,7 +346,11 @@ def test_greedy_matches_reference_on_planted_near_ties():
                     level = water_level(NoiseProfile(noises, 1.0))
                     row[j] = 1.0 / level * (1.0 + int(rng.integers(-3, 4)) * ULP)
             rows = np.vstack([rows, row])
-        W = WeightMatrix(rows)
+        yield WeightMatrix(rows), mode
+
+
+def test_greedy_matches_reference_on_planted_near_ties():
+    for W, mode in planted_near_tie_matrices():
         assert online_greedy(W, mode).parts == greedy_by_hand(W, mode)
 
 
@@ -508,6 +520,37 @@ def test_coarse_margin_covers_a_log1p_one_ulp_off_monotone(monkeypatch):
         assert bound <= margin
 
 
+# --- greedy's carried utility ---------------------------------------------
+
+def assert_greedy_carries_system_utility(W):
+    for mode in GREEDY_MODES:
+        alloc = online_greedy(W, mode)
+        assert alloc._utility.hex() == system_utility(alloc, W).hex(), mode
+
+
+def test_greedy_carries_system_utility_next_to_the_water_level_and_near_ties():
+    for W, _ in itertools.chain(near_water_level_matrices(), planted_near_tie_matrices()):
+        assert_greedy_carries_system_utility(W)
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(tie_heavy_matrices())
+def test_greedy_carries_system_utility_on_ties(W):
+    assert_greedy_carries_system_utility(W)
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(float_edge_matrices())
+@example(WeightMatrix([[5e-324, 1e-310], [1.7e308, -0.0], [1e-308, 0.0]]))
+def test_greedy_carries_system_utility_on_float_edges(W):
+    assert_greedy_carries_system_utility(W)
+
+
+def test_greedy_carries_system_utility_with_no_users_or_no_signal():
+    for rows in (np.zeros((0, 3)), np.zeros((5, 2)), [[0.0, 2.0], [-0.0, 1.0], [0.0, 3.0], [0.0, 0.0]]):
+        assert_greedy_carries_system_utility(WeightMatrix(rows))
+
+
 # --- max weight -----------------------------------------------------------
 
 def test_max_weight_examples():
@@ -544,6 +587,42 @@ def test_system_utility_adds_stations_left_to_right():
         assert system_utility(alloc, W).hex() == plain.hex()
         if draw == 6:
             assert (plain.hex(), math.fsum(utils).hex()) == ("0x1.0f16a595b7110p+3", "0x1.0f16a595b710fp+3")
+
+
+def utility_by_columns(alloc, W):
+    """A fold of per-column log_utility, read straight from the matrix."""
+    total = 0.0
+    for j, part in enumerate(alloc.parts):
+        total += log_utility([float(W.weights[u, j]) for u in sorted(part)])
+    return total
+
+
+def test_system_utility_of_random_partitions_of_every_profile_kind():
+    rng = np.random.default_rng(99)
+    for kind in PROFILE_KINDS:
+        for seed in range(2):
+            W = generate(ProfileSpec(kind, 400, 16, seed))
+            stations = rng.integers(0, W.m, W.n)
+            alloc = Allocation(tuple(np.flatnonzero(stations == j).tolist() for j in range(W.m)))
+            assert system_utility(alloc, W).hex() == utility_by_columns(alloc, W).hex()
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(float_edge_matrices(), st.data())
+def test_system_utility_of_random_partitions_on_float_edges(W, data):
+    stations = data.draw(st.lists(st.integers(0, W.m - 1), min_size=W.n, max_size=W.n))
+    alloc = Allocation(tuple([u for u, s in enumerate(stations) if s == j] for j in range(W.m)))
+    assert system_utility(alloc, W).hex() == utility_by_columns(alloc, W).hex()
+
+
+def test_system_utility_ignores_a_carried_utility():
+    W = generate(ProfileSpec("correlated", 20, 4, 3))
+    alloc = online_greedy(W)
+    wrong = Allocation(alloc.parts, alloc._utility + 1.0)
+    assert wrong == alloc and hash(wrong) == hash(alloc) and repr(wrong) == repr(alloc)
+    assert _utility_of(wrong, W) == alloc._utility + 1.0
+    assert system_utility(wrong, W) == alloc._utility
+    assert _utility_of(Allocation(alloc.parts), W) == alloc._utility
 
 
 def test_system_utility_partition_errors():
@@ -860,12 +939,21 @@ def test_ratio_is_log_base_invariant():
     assert rescaled == pytest.approx(report.ratio, rel=1e-12)
 
 
-def test_unknown_strategy_and_reference():
+def test_unknown_strategy_and_reference(monkeypatch):
     W = WeightMatrix([[1.0]])
     with pytest.raises(ValueError, match="strategy"):
         run_strategy("best-effort", W)
+
+    def no_greedy(W, mode="marginal_gain"):
+        raise AssertionError("greedy ran before the reference was computed")
+
+    # the reference comes first, so a bad kind or a brute force above the cap
+    # fails before any strategy runs
+    monkeypatch.setattr(allocation, "online_greedy", no_greedy)
     with pytest.raises(ValueError, match="reference"):
         competitive_ratio(W, "greedy", "oracle")
+    with pytest.raises(InstanceTooLargeError):
+        competitive_ratio(WeightMatrix(np.ones((30, 4))), "greedy-absolute")
 
 
 # --- the utility is a valid multi-partitioning objective --------------------

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import math
 
 import pytest
 
-from wfalloc.allocation import InstanceTooLargeError
+from wfalloc import allocation, cli, experiments
+from wfalloc.allocation import STRATEGIES, InstanceTooLargeError, competitive_ratio, run_strategy
 from wfalloc.experiments import (
     RECORD_HEADER,
     ExperimentRecord,
@@ -62,6 +65,51 @@ def test_per_trial_seed_is_xor_of_base_and_index():
     again = evaluate_strategies(W, ("greedy",), r.reference_kind,
                                 trial=r.trial, profile_name=r.profile, seed=r.seed)
     assert again == [r]
+
+
+def test_only_max_weight_recomputes_its_utility(monkeypatch):
+    # greedy reports the sum it carries; max-weight falls back to system_utility
+    original, calls = allocation.system_utility, []
+
+    def counted(alloc, W):
+        calls.append(alloc)
+        return original(alloc, W)
+
+    for module in (allocation, experiments, cli):
+        if hasattr(module, "system_utility"):
+            monkeypatch.setattr(module, "system_utility", counted)
+    W = generate(ProfileSpec("correlated", 6, 3, 0))
+    recomputed = {s: original(run_strategy(s, W), W) for s in STRATEGIES}
+
+    for strategy in STRATEGIES:
+        calls.clear()
+        report = competitive_ratio(W, strategy, "analytic_upper_bound")
+        assert len(calls) == (strategy == "max-weight")
+        assert report.online_utility == recomputed[strategy]
+
+    # the benchmark's seam: evaluate_strategies runs each strategy through
+    # the name bound in experiments and sees the Allocation itself
+    seen, bound = [], experiments.run_strategy
+
+    def run_and_keep(strategy, W):
+        seen.append(bound(strategy, W))
+        return seen[-1]
+
+    monkeypatch.setattr(experiments, "run_strategy", run_and_keep)
+    calls.clear()
+    records = evaluate_strategies(W, STRATEGIES, "analytic_upper_bound",
+                                  trial=0, profile_name="correlated", seed=0)
+    assert calls == [seen[2]] and [a.m for a in seen] == [3, 3, 3]
+    assert [r.utility for r in records] == [recomputed[s] for s in STRATEGIES]
+
+    calls.clear()
+    argv = ["simulate", "--users", "6", "--basestations", "3", "--profile", "correlated",
+            "--reference", "analytic-upper"] + [f"--strategy={s}" for s in STRATEGIES]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert cli.main(argv) == 0
+    assert len(calls) == 1
+    for strategy in STRATEGIES:
+        assert f"strategy {strategy}: utility {experiments._fmt(recomputed[strategy])} " in out.getvalue()
 
 
 def test_record_invariant_ratio_times_utility():
