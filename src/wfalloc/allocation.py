@@ -15,8 +15,8 @@ from functools import cache
 
 import numpy as np
 
-from .submodular import _BLOCK, _pair_index
-from .waterfill import _scan, _subset_tables, log_utility
+from .submodular import _pair_index
+from .waterfill import _BLOCK, _scan, _subset_tables, log_utility
 
 __all__ = [
     "BRUTE_FORCE_CAP",
@@ -43,6 +43,16 @@ BRUTE_FORCE_CAP = 10**6
 GREEDY_MODES = ("marginal_gain", "absolute_value")
 STRATEGIES = ("greedy", "greedy-absolute", "max-weight")
 REFERENCE_KINDS = ("brute_force_optimum", "analytic_upper_bound")
+
+
+def _check_names(strategies, reference_kind):
+    """Raise ValueError on the first unknown strategy, then on an unknown
+    reference kind, before any strategy or reference runs."""
+    for s in strategies:
+        if s not in STRATEGIES:
+            raise ValueError(f"unknown strategy {s!r}; expected one of {STRATEGIES}")
+    if reference_kind not in REFERENCE_KINDS:
+        raise ValueError(f"unknown reference kind {reference_kind!r}; expected one of {REFERENCE_KINDS}")
 
 
 class InstanceTooLargeError(ValueError):
@@ -480,6 +490,7 @@ def reference_value(W, reference_kind):
 
 def competitive_ratio(W, strategy, reference_kind="brute_force_optimum"):
     """Offline reference divided by the strategy's online utility."""
+    _check_names((strategy,), reference_kind)
     reference = reference_value(W, reference_kind)
     utility = _utility_of(run_strategy(strategy, W), W)
     return RatioReport(

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 from statistics import fmean
 
 from .allocation import (
-    REFERENCE_KINDS,
-    STRATEGIES,
+    _check_names,
     _utility_of,
     check_bruteforce_size,
     ratio_value,
@@ -65,9 +64,7 @@ class SummaryRow:
 
 def evaluate_strategies(W, strategies, reference_kind, *, trial, profile_name, seed):
     """Records for all strategies on one matrix, sharing one reference value."""
-    for s in strategies:
-        if s not in STRATEGIES:
-            raise ValueError(f"unknown strategy {s!r}; expected one of {STRATEGIES}")
+    _check_names(strategies, reference_kind)
     reference = reference_value(W, reference_kind)
     records = []
     for strategy in strategies:
@@ -91,8 +88,7 @@ def run_experiment(kind, n, m, trials, strategies=("greedy",),
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     spec0 = ProfileSpec(kind, n, m, seed)
-    if reference_kind not in REFERENCE_KINDS:
-        raise ValueError(f"unknown reference kind {reference_kind!r}; expected one of {REFERENCE_KINDS}")
+    _check_names(strategies, reference_kind)
     if reference_kind == "brute_force_optimum":
         check_bruteforce_size(n, m)
     profile_name = spec0.kind.replace("_", "-")

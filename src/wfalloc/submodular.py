@@ -15,6 +15,8 @@ from typing import Callable
 
 import numpy as np
 
+from .waterfill import _BLOCK
+
 __all__ = [
     "MONOTONE_SETPAIR_CAP",
     "PAIRWISE_CAP",
@@ -32,7 +34,6 @@ __all__ = [
 
 PAIRWISE_CAP = 12  # ground-set cap of the pairwise check
 MONOTONE_SETPAIR_CAP = 8  # ground-set cap of the checks that compare pairs of subsets
-_BLOCK = 1 << 13  # gap entries compared per numpy block
 _SLICE = 1 << 10  # pairwise violations decoded per slice
 
 

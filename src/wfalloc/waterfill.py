@@ -111,17 +111,22 @@ _SHRINK = 2.0 ** -64  # exact power-of-two scale for sums that overflow
 
 
 def _scan(sorted_noises, budget):
-    """(level, k, rate) for ascending noises and budget > 0: the water level,
-    the number of funded channels, and their summed rate in nats.
+    """(level, k, rate) for ascending noises and a budget >= 0: the water
+    level, the number of funded channels, and their summed rate in nats.
 
-    Requires finite noises and a finite budget + sorted_noises[-1], so that
-    every level is representable. ``NoiseProfile`` checks that sum; a unit
+    The contract of both kernels: infinite noises sort last and are never
+    funded (a level over one is inf, and inf > inf is false); no noises,
+    only infinite ones, or a zero budget fund nothing: (None, 0, 0.0).
+    Requires a finite budget + the noisiest finite noise, so that every
+    level is representable. ``NoiseProfile`` checks that sum; a unit
     budget cannot overflow it, as 1 plus any finite float rounds to at most
     the largest float. A sum that overflows is taken again at an exact
     power-of-two scale; the noises it then drops below the subnormal range
     are far below its resolution. The funded channels' logs add left to
     right, one ``+=`` each: the rule ``_subset_rates`` repeats by columns.
     """
+    if budget == 0.0:
+        return None, 0, 0.0
     prefix = tuple(accumulate(sorted_noises))
     shrunk = None
     for k in range(len(sorted_noises), 0, -1):
@@ -135,6 +140,8 @@ def _scan(sorted_noises, budget):
             if level > sorted_noises[k - 1]:
                 break
     else:
+        if not sorted_noises or sorted_noises[0] == math.inf:
+            return None, 0, 0.0
         # Budget below the float resolution of the quietest noise floor; fund
         # that single channel (its power rounds to zero).
         level, k = budget + sorted_noises[0], 1
@@ -148,17 +155,19 @@ def _scan(sorted_noises, budget):
     return level, k, rate
 
 
-_BLOCK = 1 << 13  # subsets x channels log entries per numpy block
+# entries per numpy block, here, in the checkers and in the subset DP: 8,192
+# float64 are 64 KiB, below glibc's 128 KiB mmap threshold, so none is mmapped fresh
+_BLOCK = 1 << 13
 
 
 def _subset_rates(sorted_noises, budget):
     """``_scan``'s rate of every subset of each row of a rows x n matrix of
-    ascending noises, by bitmask: bit i is column i, and the empty subset
-    has rate 0. An infinite noise, sorted last, is never funded.
+    ascending noises, by bitmask: bit i is column i.
 
-    Same preconditions as ``_scan`` on each row's finite noises. A subset
-    is its parent plus its noisiest member x, its highest bit. Passes over
-    all rows at once:
+    Each row is held to ``_scan``'s contract: an infinite noise, sorted
+    last, is never funded, and the empty subset or a zero budget gives 0.
+    A subset is its parent plus its noisiest member x, its highest bit.
+    Passes over all rows at once:
 
     * noise totals by doubling, one bit at a time: a subset's total is its
       parent's plus x, the float ``_scan``'s prefix sum reaches, so the
@@ -176,6 +185,8 @@ def _subset_rates(sorted_noises, budget):
       stay the only ones.
     """
     rows, n = sorted_noises.shape
+    if budget == 0.0:
+        return np.zeros((rows, 1 << n))
     levels = np.zeros((rows, 1 << n))  # noise totals, then levels
     sizes = np.zeros(1 << n, np.intp)
     unfunded = np.ones((rows, 1 << n), bool)  # the empty subset has rate 0
@@ -209,15 +220,12 @@ def _subset_rates(sorted_noises, budget):
 
 def _subset_tables(noises, budget):
     """``_scan``'s rate of every subset of each row of a rows x n noise
-    matrix, by column bitmask. An infinite noise is never funded; a zero
-    budget, where ``_scan`` does not apply, gives 0. One ``_subset_rates``
-    call solves the row-sorted matrix, and one permutation for all rows
-    maps column bitmasks to sorted ones (tied noises are equal floats, so
-    their order changes no rate)."""
+    matrix, by column bitmask. One ``_subset_rates`` call solves the
+    row-sorted matrix, and one permutation for all rows maps column
+    bitmasks to sorted ones (tied noises are equal floats, so their order
+    changes no rate)."""
     noises = np.asarray(noises, dtype=float)
     rows, n = noises.shape
-    if budget == 0.0:
-        return np.zeros((rows, 1 << n))
     rates = _subset_rates(np.sort(noises, axis=1), budget)
     bits = 1 << np.argsort(noises, axis=1, kind="stable").argsort(axis=1)  # each column's sorted bit
     index = np.zeros((rows, 1 << n), np.intp)
@@ -247,11 +255,9 @@ def waterfill(profile):
 def _solve(profile, ids):
     """``waterfill`` of the profile's channels ``ids``, in its order, from
     its validated noises: no sub-profile is built for them."""
-    noises, budget = [profile._noise_by_id[c] for c in ids], profile.budget
-    if not ids or budget == 0.0:
-        return WaterfillSolution(None, {c: 0.0 for c in ids}, frozenset(), 0.0)
+    noises = [profile._noise_by_id[c] for c in ids]
     order = sorted(range(len(ids)), key=noises.__getitem__)
-    level, k, rate = _scan([noises[t] for t in order], budget)
+    level, k, rate = _scan([noises[t] for t in order], profile.budget)
     powers = {c: 0.0 for c in ids}
     for t in order[:k]:
         powers[ids[t]] = level - noises[t]
@@ -265,10 +271,7 @@ def rate_of_subset(profile, channels):
     The monotone set function the submodularity checks exercise, solved from
     the profile's validated noises. Unknown channel ids raise ValueError.
     """
-    noises = sorted(profile.noise_of(c) for c in frozenset(channels))
-    if not noises or profile.budget == 0.0:
-        return 0.0
-    return _scan(noises, profile.budget)[2]
+    return _scan(sorted(profile.noise_of(c) for c in frozenset(channels)), profile.budget)[2]
 
 
 def _snr_noises(snrs):
@@ -291,12 +294,6 @@ def log_utility(snrs):
     across receivers with the given SNRs.
 
     A receiver with SNR w behaves like a channel with noise 1/w. Receivers
-    whose noise is infinite (``_snr_noises``) can never be funded and are
-    excluded before solving.
+    whose noise is infinite (``_snr_noises``) are never funded by ``_scan``.
     """
-    noises = sorted(_snr_noises(snrs))
-    while noises and noises[-1] == math.inf:
-        noises.pop()
-    if not noises:
-        return 0.0
-    return _scan(noises, 1.0)[2]
+    return _scan(sorted(_snr_noises(snrs)), 1.0)[2]

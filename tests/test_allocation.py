@@ -955,6 +955,14 @@ def test_unknown_strategy_and_reference(monkeypatch):
     with pytest.raises(InstanceTooLargeError):
         competitive_ratio(WeightMatrix(np.ones((30, 4))), "greedy-absolute")
 
+    def no_reference(W, reference_kind):
+        raise AssertionError("the reference was computed before the names were checked")
+
+    # names are checked before the reference, which may be a long brute force
+    monkeypatch.setattr(allocation, "reference_value", no_reference)
+    with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+        competitive_ratio(W, "bogus")
+
 
 # --- the utility is a valid multi-partitioning objective --------------------
 

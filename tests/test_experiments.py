@@ -25,6 +25,8 @@ def test_zero_trials_yield_nothing_but_validate():
     # no trial computes a reference, so only the up-front check rejects it
     with pytest.raises(ValueError, match="unknown reference kind 'exact'"):
         run_experiment("iid_unit", 5, 2, 0, reference_kind="exact")
+    with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
+        run_experiment("iid_unit", 5, 3, 0, strategies=("bogus",))
 
 
 def test_bad_strategies_and_trials_are_rejected_before_any_work():

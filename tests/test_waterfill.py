@@ -297,6 +297,23 @@ def test_subset_tables_fund_every_subset_across_blocks():
         rate_of_subset(p, [t for t in range(14) if mask >> t & 1]).hex() for mask in range(1 << 14)]
 
 
+@settings(derandomize=True, database=None, max_examples=300)
+@given(st.lists(st.sampled_from(FLOAT_EDGE_NOISES), max_size=6), st.integers(0, 2),
+       st.sampled_from((0.0, 1e-300, 1.0, 2.5, 1e300)))
+def test_both_kernels_keep_one_contract(finite, infinite, budget):
+    # infinite noises sort last and are never funded; nothing to fund is (None, 0, 0.0)
+    assume(not finite or budget + max(finite) < math.inf)
+    row = sorted(finite) + [math.inf] * infinite
+    rates = _subset_rates(np.array([row]), budget)[0].tolist()
+    assert [rate.hex() for rate in rates] == [
+        _scan([x for t, x in enumerate(row) if mask >> t & 1], budget)[2].hex()
+        for mask in range(1 << len(row))]
+    for nothing in ([], [math.inf, math.inf]):
+        assert _scan(nothing, budget) == (None, 0, 0.0)
+    assert _scan(row, 0.0) == (None, 0, 0.0)
+    assert _scan(row + [math.inf], budget) == _scan(row, budget)
+
+
 def scan_cases():
     edges = sorted(FLOAT_EDGE_NOISES)
     for budget in FLOAT_EDGE_BUDGETS[1:]:
