@@ -16,7 +16,7 @@ from functools import cache
 import numpy as np
 
 from .submodular import _pair_index
-from .waterfill import _BLOCK, _scan, _subset_tables, log_utility
+from .waterfill import _BLOCK, _scan, _snr_noise_array, _subset_tables
 
 __all__ = [
     "BRUTE_FORCE_CAP",
@@ -326,7 +326,12 @@ def max_weight(W):
 def system_utility(alloc, W):
     """Sum over basestations of the log utility of their assigned users.
 
-    The allocation must partition exactly the users of ``W``.
+    The allocation must partition exactly the users of ``W``. ``W``'s
+    SNRs were validated once, so the n assigned ones map to noises through
+    ``waterfill._snr_noise_array``, the owner of the SNR rule for validated
+    arrays (``_snr_noises`` owns it for lists; greedy keeps a pinned scalar
+    copy), and each station's are solved by ``_scan`` as ``log_utility``
+    solves them.
     """
     if alloc.m != W.m:
         raise ValueError(f"allocation has {alloc.m} parts but the matrix has {W.m} basestations")
@@ -334,12 +339,12 @@ def system_utility(alloc, W):
         raise ValueError("allocation does not partition the arrived users")
     m = W.m
     # gather only the n assigned SNRs, part after part
-    snrs = W.weights.take([u * m + j for j, part in enumerate(alloc.parts) for u in part]).tolist()
-    total, start = 0.0, 0
+    snrs = W.weights.take([u * m + j for j, part in enumerate(alloc.parts) for u in part])
+    noises, total, start = _snr_noise_array(snrs).tolist(), 0.0, 0
     for part in alloc.parts:
         end = start + len(part)
         # left to right, one += each, as _scan adds: sum is compensated from Python 3.12
-        total += log_utility(snrs[start:end])
+        total += _scan(sorted(noises[start:end]), 1.0)[2]
         start = end
     return total
 
@@ -359,18 +364,6 @@ def check_bruteforce_size(n, m):
         raise InstanceTooLargeError(
             f"instance too large for brute force: {m}^{n} assignments exceed {BRUTE_FORCE_CAP}"
         )
-
-
-def _subset_utilities(W):
-    """log_utility of every subset of each station's users, as an m x 2^n
-    array: entry (j, U) is station j's utility of the users in bitmask U,
-    bit u for user u, from one ``_subset_tables`` call for all stations.
-    """
-    with np.errstate(divide="ignore", over="ignore"):
-        # waterfill._snr_noises' rule in numpy (w > 0, as 1 / -0.0 is -inf): calling
-        # it per column made the n=1, m=10^5 tables 18% slower (2-vCPU Xeon, in-process)
-        noises = np.where(W.weights.T > 0.0, 1.0 / W.weights.T, math.inf)
-    return _subset_tables(noises, 1.0)
 
 
 @cache
@@ -393,29 +386,35 @@ def offline_bruteforce(W):
 
     With f_j station j's log utility of every user subset, the best value
     of giving users S to stations 0..j is best_j[S] = max over T within S
-    of best_{j-1}[S - T] + f_j(T): O(m 3^n) steps. The tables f_j come from
-    ``_subset_utilities``, whose entries add their logs left to right as
-    ``_scan`` does. Each step is a numpy max-plus reduction over the
-    (S - T, T) pairs of ``_pair_index``, gathered with ``take``, every
-    station per block of ``_fold_blocks``: S - T <= S, so a block reads
-    only earlier blocks and what the station before just wrote; no
-    temporary grows with 3^n (malloc maps one that does anew, page faults
-    and all, every call). Each candidate is the one float addition
+    of best_{j-1}[S - T] + f_j(T): O(m 3^n) steps. The tables f_j are
+    ``_subset_tables`` of the noises ``waterfill._snr_noise_array`` gives
+    W's columns, whose entries add their logs left to right as ``_scan``
+    does. Each step is a numpy max-plus reduction over the (S - T, T)
+    pairs of ``_pair_index``, gathered with ``take``, every station per
+    block of ``_fold_blocks``: S - T <= S, so a block reads only earlier
+    blocks and what the station before just wrote; no temporary grows
+    with 3^n (malloc maps one that does anew, page faults and all, every
+    call). Each candidate is the one float addition
     best_{j-1}[S - T] + f_j(T), so every value equals a scalar loop's bit
     for bit. The decode walks back from the last station, summing the group
     of the users left for all stations below at once. On ties the last
     station takes the largest user bitmask, then each earlier station
     likewise among the users left: its group lists T descending, so its
     first maximum. Raises InstanceTooLargeError when m^n exceeds the cap.
-    Returns (allocation, value) with the value recomputed through
-    system_utility for consistency with other callers.
+
+    Returns (allocation, value). For m >= 2 the value is the maximum the DP
+    just found: every best_j[S] is the chain f_0(T_0) + ... + f_j(T_j) of
+    ``_scan`` rates, added left to right, and the decode reads back T_j's
+    that reach it. ``system_utility`` adds the same rates from 0.0, and
+    0.0 + f_0 = f_0 (no rate is -0.0), so the two agree bit for bit. One
+    station has no DP, and its value is ``system_utility``'s.
     """
     n, m = W.n, W.m
     check_bruteforce_size(n, m)
     if m == 1:
         alloc = Allocation((range(n),))
         return alloc, system_utility(alloc, W)
-    tables = _subset_utilities(W)
+    tables = _subset_tables(_snr_noise_array(W.weights.T), 1.0)
     bests = np.empty((m - 1, 1 << n))
     bests[0] = tables[0]
     if m > 2:
@@ -427,7 +426,8 @@ def offline_bruteforce(W):
                 np.maximum.reduceat(sums, at, out=out)
     # entry i leaves users i to the earlier stations and all ^ i to the last;
     # the first maximum is the smallest i, so the last station's largest T
-    rest = int((bests[-1] + tables[-1][::-1]).argmax())
+    totals = bests[-1] + tables[-1][::-1]
+    rest = int(totals.argmax())
     masks, j = [0] * (m - 1) + [rest ^ ((1 << n) - 1)], m - 2  # stations 1..j left
     while rest and j:
         # rest's group for stations 1..j at once: each takes its first maximum,
@@ -441,7 +441,7 @@ def offline_bruteforce(W):
         rest ^= masks[j + 1]
     masks[0] = rest
     alloc = Allocation(tuple(frozenset(u for u in range(n) if mask >> u & 1) for mask in masks))
-    return alloc, system_utility(alloc, W)
+    return alloc, float(totals.max())  # the DP's optimum, reached by this allocation
 
 
 def offline_upper_bound(W):

@@ -275,9 +275,10 @@ def rate_of_subset(profile, channels):
 
 
 def _snr_noises(snrs):
-    """The one owner of the SNR rule: noise 1/w for SNR w, infinite (never
-    funded) for a zero SNR or a 1/w that overflows. Raises ValueError on a
-    non-finite, then a negative SNR, checked in list order."""
+    """The owner of the SNR rule for lists: noise 1/w for SNR w, infinite
+    (never funded) for a zero SNR or a 1/w that overflows. Raises
+    ValueError on a non-finite, then a negative SNR, checked in list order.
+    ``_snr_noise_array`` applies it to validated arrays."""
     noises = []
     for w in snrs:
         w = float(w)
@@ -287,6 +288,14 @@ def _snr_noises(snrs):
             raise ValueError(f"SNRs must be nonnegative, got {w}")
         noises.append(1.0 / w if w > 0.0 else math.inf)
     return noises
+
+
+def _snr_noise_array(weights):
+    """``_snr_noises``' rule for an array of SNRs validated once (by
+    ``WeightMatrix``), element for element and with no checks: w > 0, as
+    1 / -0.0 is -inf."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.where(weights > 0.0, 1.0 / weights, math.inf)
 
 
 def log_utility(snrs):

@@ -4,6 +4,7 @@ import inspect
 import itertools
 import math
 import operator
+import sys
 import time
 import tracemalloc
 
@@ -32,7 +33,16 @@ from wfalloc.allocation import (
 )
 from wfalloc.profiles import PROFILE_KINDS, ProfileSpec, generate
 from wfalloc.submodular import SetFunctionOracle, check_monotone, check_submodular_pairwise
-from wfalloc.waterfill import NoiseProfile, _scan, _snr_noises, log_utility, water_level, waterfill
+from wfalloc.waterfill import (
+    NoiseProfile,
+    _scan,
+    _snr_noise_array,
+    _snr_noises,
+    _subset_tables,
+    log_utility,
+    water_level,
+    waterfill,
+)
 
 from oracles import greedy_by_hand, naive_best_allocation
 
@@ -256,15 +266,18 @@ GREEDY_NOISE = "noise = 1.0 / w if w else math.inf"
 
 
 def test_the_snr_rule_copies_match_its_owner(monkeypatch):
-    # _snr_noises owns the SNR -> noise rule; greedy's inline copy and the
-    # numpy copy in _subset_utilities must give its noises bit for bit
+    # _snr_noises owns the SNR -> noise rule for lists and _snr_noise_array
+    # for validated arrays; the array rule, greedy's inline copy and the
+    # noises brute force tables must give _snr_noises' noises bit for bit
     snrs = FLOAT_EDGE_SNRS  # with -0.0 and the subnormals 5e-324 and 1e-310
     owner = [x.hex() for x in _snr_noises(snrs)]
     assert GREEDY_NOISE in inspect.getsource(allocation._greedy_arrivals)
     assert [(1.0 / w if w else math.inf).hex() for w in snrs] == owner
-    tables = []
-    monkeypatch.setattr(allocation, "_subset_tables", lambda noises, budget: tables.append(noises))
-    allocation._subset_utilities(WeightMatrix([snrs]))  # one user, a station per SNR
+    assert [x.hex() for x in _snr_noise_array(np.array(snrs)).tolist()] == owner
+    tables, tabulate = [], allocation._subset_tables
+    monkeypatch.setattr(allocation, "_subset_tables",
+                        lambda noises, budget: tables.append(noises) or tabulate(noises, budget))
+    offline_bruteforce(WeightMatrix([snrs]))  # one user, a station per SNR
     assert [x.hex() for x in tables[0].ravel().tolist()] == owner
 
 
@@ -671,7 +684,7 @@ def test_bruteforce_matches_naive_enumeration():
         alloc, value = offline_bruteforce(W)
         _, naive = naive_best_allocation(W)
         assert value == pytest.approx(naive, rel=1e-12)
-        assert system_utility(alloc, W) == value
+        assert value.hex() == system_utility(alloc, W).hex()
 
 
 def test_bruteforce_dominates_greedy():
@@ -687,11 +700,20 @@ def test_bruteforce_dominates_greedy():
 @given(float_edge_matrices())
 def test_subset_utilities_are_log_utility_of_every_subset(W):
     # zero SNRs and SNRs whose 1/w overflows are dropped, as log_utility drops them
-    tables = allocation._subset_utilities(W)
+    tables = _subset_tables(_snr_noise_array(W.weights.T), 1.0)
     assert tables.shape == (W.m, 1 << W.n)
     for j, column in enumerate(W.weights.T.tolist()):
         for mask in range(1 << W.n):
             assert tables[j, mask] == log_utility([w for u, w in enumerate(column) if mask >> u & 1])
+
+
+def bruteforce_with_its_value_checked(W):
+    """``offline_bruteforce``'s allocation, after checking that the DP
+    optimum it returns is ``system_utility`` of that allocation to the last
+    bit (the digests print only 12 significant digits)."""
+    alloc, value = offline_bruteforce(W)
+    assert type(value) is float and value.hex() == system_utility(alloc, W).hex()
+    return alloc
 
 
 def bruteforce_by_best_share(W):
@@ -736,14 +758,14 @@ def bruteforce_by_best_share(W):
 @given(tie_heavy_matrices(min_m=3))
 def test_bruteforce_breaks_ties_like_the_scalar_fold(W):
     # values alone cannot tell the first maximum from the last; allocations can
-    assert offline_bruteforce(W)[0].parts == bruteforce_by_best_share(W)
+    assert bruteforce_with_its_value_checked(W).parts == bruteforce_by_best_share(W)
 
 
 @settings(derandomize=True, database=None, max_examples=200)
 @given(float_edge_matrices())
 def test_bruteforce_matches_the_scalar_fold_on_float_edges(W):
     # covers -0.0 SNRs, which must be dropped as log_utility drops them
-    assert offline_bruteforce(W)[0].parts == bruteforce_by_best_share(W)
+    assert bruteforce_with_its_value_checked(W).parts == bruteforce_by_best_share(W)
 
 
 def test_bruteforce_breaks_ties_like_the_scalar_fold_at_the_cap():
@@ -751,24 +773,23 @@ def test_bruteforce_breaks_ties_like_the_scalar_fold_at_the_cap():
     rows = np.random.default_rng(12).integers(0, 4, (12, 3)).astype(float)
     rows[:, 1] = rows[:, 0]  # the middle station ties with the first on every subset
     W = WeightMatrix(rows)
-    assert offline_bruteforce(W)[0].parts == bruteforce_by_best_share(W)
+    assert bruteforce_with_its_value_checked(W).parts == bruteforce_by_best_share(W)
 
 
 def test_bruteforce_breaks_ties_like_the_scalar_fold_across_blocks_and_stations():
     # 9x4 and 11x3 fold 3^9 and 3^11 pairs in several blocks, through two and
     # one fold stations (at 9x4 a block read before it is written reads
     # garbage); n <= 2 on up to 50 stations walks the decode past many
-    # stations that take no user, and stops it once none is left
+    # stations that take no user, and stops it once none is left; with no
+    # users, and with two stations (no fold), the optimum is a bare sum
     rng = np.random.default_rng(17)
     shapes = [(9, 4)] * 8 + [(11, 3)] + [(n, m) for n in (1, 2) for m in (2, 3, 7, 50) for _ in range(4)]
+    shapes += [(0, m) for m in (2, 3, 50)] + [(n, 2) for n in (5, 12) for _ in range(2)]
     for n, m in shapes:
         rows = rng.integers(0, 4, (n, m)).astype(float)
         rows[:, rng.integers(m)] = rows[:, rng.integers(m)]  # a column copied: ties on every subset
         W = WeightMatrix(rows)
-        alloc, value = offline_bruteforce(W)
-        parts = bruteforce_by_best_share(W)
-        assert alloc.parts == parts
-        assert value == system_utility(Allocation(parts), W)
+        assert bruteforce_with_its_value_checked(W).parts == bruteforce_by_best_share(W)
 
 
 def test_bruteforce_fold_keeps_no_temporary_that_grows_with_the_pairs():
@@ -806,6 +827,26 @@ def test_bruteforce_one_station_many_users():
     alloc, value = offline_bruteforce(W)
     assert alloc.parts == (frozenset(range(5000)),)
     assert value == system_utility(alloc, W)
+
+
+def test_bruteforce_and_system_utility_check_no_snr_again(monkeypatch):
+    # brute force hands back the optimum its DP found, and system_utility maps
+    # the matrix's validated SNRs to noises without re-checking any of them
+    calls, originals = [], {}
+    for module in (allocation, sys.modules["wfalloc.waterfill"]):
+        for name in ("system_utility", "log_utility", "_snr_noises"):
+            if hasattr(module, name):
+                fn = originals[name] = getattr(module, name)
+                monkeypatch.setattr(module, name, lambda *a, _n=name, _f=fn: calls.append(_n) or _f(*a))
+    for m in (2, 3, 5):
+        W = WeightMatrix(np.random.default_rng(m).uniform(0.0, 5.0, (6, m)))
+        alloc, _ = offline_bruteforce(W)
+        assert calls == []
+        originals["system_utility"](alloc, W)
+        assert calls == []
+    # one station has no DP: its value is system_utility's, which re-checks nothing
+    offline_bruteforce(WeightMatrix(np.ones((4, 1))))
+    assert calls == ["system_utility"]
 
 
 def test_bruteforce_leaves_no_reference_cycles():
