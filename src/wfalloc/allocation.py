@@ -341,7 +341,8 @@ def system_utility(alloc, W):
     # gather only the n assigned SNRs, part after part
     snrs = W.weights.take([u * m + j for j, part in enumerate(alloc.parts) for u in part])
     noises, total, start = _snr_noise_array(snrs).tolist(), 0.0, 0
-    for part in alloc.parts:
+    # a station with no user is skipped: its _scan is 0.0, and total + 0.0 is exact
+    for part in filter(None, alloc.parts):
         end = start + len(part)
         # left to right, one += each, as _scan adds: sum is compensated from Python 3.12
         total += _scan(sorted(noises[start:end]), 1.0)[2]

@@ -16,6 +16,7 @@ log (nats).
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 
 import numpy as np
@@ -123,7 +124,8 @@ def _scan(sorted_noises, budget):
     the largest float. A sum that overflows is taken again at an exact
     power-of-two scale; the noises it then drops below the subnormal range
     are far below its resolution. The funded channels' logs add left to
-    right, one ``+=`` each: the rule ``_subset_rates`` repeats by columns.
+    right, one ``+=`` each: the rule ``_subset_rates`` repeats by columns
+    with ``np.add.accumulate``.
     """
     if budget == 0.0:
         return None, 0, 0.0
@@ -160,6 +162,21 @@ def _scan(sorted_noises, budget):
 _BLOCK = 1 << 13
 
 
+@cache
+def _mask_sizes_and_tops(n):
+    """Each n-bit mask's size and highest bit (0 for the empty mask), as two
+    read-only 1-D arrays of 2^n entries, built by doubling and cached per n.
+    Nothing of shape 2^n x n is cached: brute force asks for n up to 19 at
+    m = 2, where the two arrays take 8 MB together."""
+    sizes, tops = np.zeros(1 << n, np.intp), np.zeros(1 << n, np.intp)
+    for h in range(n):
+        np.add(sizes[:1 << h], 1, out=sizes[1 << h:2 << h])
+        tops[1 << h:2 << h] = h
+    sizes.setflags(write=False)
+    tops.setflags(write=False)
+    return sizes, tops
+
+
 def _subset_rates(sorted_noises, budget):
     """``_scan``'s rate of every subset of each row of a rows x n matrix of
     ascending noises, by bitmask: bit i is column i.
@@ -167,49 +184,53 @@ def _subset_rates(sorted_noises, budget):
     Each row is held to ``_scan``'s contract: an infinite noise, sorted
     last, is never funded, and the empty subset or a zero budget gives 0.
     A subset is its parent plus its noisiest member x, its highest bit.
-    Passes over all rows at once:
+    Passes over all rows at once, with each mask's size and highest bit
+    from ``_mask_sizes_and_tops``:
 
     * noise totals by doubling, one bit at a time: a subset's total is its
       parent's plus x, the float ``_scan``'s prefix sum reaches, so the
       level (budget + total) / |S| is ``_scan``'s first test, k = |S|;
-    * the funded test, level above x. A subset that fails it (an infinite
-      x always does) takes its parent's rate, as ``_scan`` goes on with
-      the parent's tests; one copy pass per bit, parents first;
+    * the funded test, level above x, as one gather of each subset's x and
+      one compare. A subset that fails it (an infinite x always does)
+      takes its parent's rate, as ``_scan`` goes on with the parent's
+      tests; one copy pass per bit, parents first. The empty subset's level
+      budget / 0 passes it, and is marked unfunded: its rate stays 0;
     * the funded subsets' rates, in blocks of ``_BLOCK`` log entries:
       level / y in numpy, ``math.log`` of each (np.log need not agree to
       the last bit) into a zero subsets x n matrix at the member columns,
-      whose columns add into a zero total one by one, ascending: adding 0.0
-      is exact, so each total is ``_scan``'s sum bit for bit. An infinite
-      rate, from an infinite level or a level / y that overflows, is handed
-      to ``_scan`` itself, whose overflow, subnormal and fallback branches
-      stay the only ones.
+      whose rows ``np.add.accumulate`` sums left to right, one add per
+      column: adding 0.0 is exact, so each total is ``_scan``'s sum bit for
+      bit. An infinite rate, from an infinite level or a level / y that
+      overflows, is handed to ``_scan`` itself, whose overflow, subnormal
+      and fallback branches stay the only ones.
+
+    The call makes 2n numpy passes that grow with n (the totals and the
+    copies) and a fixed number besides, per block. Its member matrices are
+    built per block, so none outgrows ``_BLOCK`` entries.
     """
     rows, n = sorted_noises.shape
-    if budget == 0.0:
+    if budget == 0.0 or n == 0:
         return np.zeros((rows, 1 << n))
+    sizes, tops = _mask_sizes_and_tops(n)
     levels = np.zeros((rows, 1 << n))  # noise totals, then levels
-    sizes = np.zeros(1 << n, np.intp)
-    unfunded = np.ones((rows, 1 << n), bool)  # the empty subset has rate 0
     rates = np.zeros((rows, 1 << n))
     # an overflowing total or ratio goes to _scan; the empty subset's level is budget / 0
     with np.errstate(over="ignore", divide="ignore"):
         for h in range(n):
             np.add(levels[:, :1 << h], sorted_noises[:, h:h + 1], out=levels[:, 1 << h:2 << h])
-            np.add(sizes[:1 << h], 1, out=sizes[1 << h:2 << h])
         levels += budget
         levels /= sizes
-        for h in range(n):
-            np.less_equal(levels[:, 1 << h:2 << h], sorted_noises[:, h:h + 1], out=unfunded[:, 1 << h:2 << h])
-        funded, step = np.flatnonzero(~unfunded), _BLOCK // max(n, 1)
-        for at in np.split(funded, range(step, len(funded), step)):
+        unfunded = levels <= sorted_noises[:, tops]
+        unfunded[:, 0] = True
+        funded, step, bits = np.flatnonzero(~unfunded), _BLOCK // n, 1 << np.arange(n)
+        for start in range(0, len(funded), step):
+            at = funded[start:start + step]
             row, mask = at >> n, at & ((1 << n) - 1)
-            members = (mask[:, None] & (1 << np.arange(n))) != 0
+            members = (mask[:, None] & bits) != 0
             ratios = np.repeat(levels.flat[at], sizes[mask]) / sorted_noises[row][members]
             logs = np.zeros(members.shape)  # a non-member adds an exact 0.0
             logs[members] = np.fromiter(map(math.log, ratios.tolist()), float, len(ratios))
-            total = np.zeros(len(at))
-            for column in logs.T:
-                total += column
+            total = np.add.accumulate(logs, axis=1)[:, -1]
             rates.flat[at] = total
             for i in np.flatnonzero(total == math.inf):
                 rates.flat[at[i]] = _scan(sorted_noises[row[i]][members[i]].tolist(), budget)[2]

@@ -52,6 +52,14 @@ def test_waterfill_from_snrs_drops_infinite_noise(capsys):
     assert f"rate_nats: {math.log(6.0):.12g}" in out
 
 
+def test_waterfill_from_zero_snrs_funds_nothing(capsys):
+    # nothing to fund at a positive budget: no level, rate 0
+    code, out, _ = run_cli(capsys, "waterfill", "--snrs", "0,0", "--power", "1")
+    assert code == 0
+    assert "water_level: none" in out.splitlines()
+    assert "rate_nats: 0" in out.splitlines()
+
+
 def test_waterfill_from_csv_column(capsys, tmp_path):
     path = tmp_path / "w.csv"
     write_weights_csv(generate(ProfileSpec("iid_ten", 4, 2, 3)), path)
@@ -338,6 +346,13 @@ def test_simulate_bruteforce_exact_stdout(capsys):
         "  bs_2: \n"
         "  bs_3: \n"
     )
+
+
+def test_simulate_sparse_strong_against_bruteforce(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--users", "6", "--basestations", "3",
+                             "--profile", "sparse-strong", "--reference", "brute-force")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].startswith("reference (brute_force_optimum): ")
 
 
 def test_simulate_needs_users_and_basestations_with_a_profile(capsys):

@@ -7,10 +7,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from wfalloc.profiles import PROFILE_KINDS, ProfileSpec, generate
 from wfalloc.waterfill import (
     _BLOCK,
     NoiseProfile,
+    _mask_sizes_and_tops,
     _scan,
+    _snr_noise_array,
     _subset_rates,
     _subset_tables,
     log_utility,
@@ -297,6 +300,49 @@ def test_subset_tables_fund_every_subset_across_blocks():
         rate_of_subset(p, [t for t in range(14) if mask >> t & 1]).hex() for mask in range(1 << 14)]
 
 
+def benchmark_shaped_tables():
+    """The tables the benchmark's workloads build: each profile kind's 10 x 3
+    SNR columns as noises at unit power, as brute force tables them, and
+    certify-like 1 x 10 and 1 x 8 rows (noises U(0.1, 10), budget U(0.1, 5))."""
+    for kind in PROFILE_KINDS:
+        for seed in range(2):
+            yield _snr_noise_array(generate(ProfileSpec(kind, 10, 3, seed)).weights.T), 1.0
+    rng = np.random.default_rng(26)
+    for n in (10, 8):
+        for _ in range(3):
+            yield rng.uniform(0.1, 10.0, (1, n)), float(rng.uniform(0.1, 5.0))
+
+
+def test_subset_tables_at_the_benchmarks_shapes():
+    # a table's funded subsets take their logs in blocks of _BLOCK // n rows:
+    # these tables need one block or two
+    spans = []
+    for noises, budget in benchmark_shaped_tables():
+        n = noises.shape[1]
+        funded = 0
+        for row, table in zip(noises.tolist(), _subset_tables(noises, budget).tolist()):
+            solves = [_scan(sorted(x for t, x in enumerate(row) if mask >> t & 1), budget)
+                      for mask in range(1 << n)]
+            assert [rate.hex() for rate in table] == [rate.hex() for *_, rate in solves]
+            funded += sum(k == mask.bit_count() > 0 for mask, (_, k, _) in enumerate(solves))
+        spans.append(-(-funded // (_BLOCK // n)))
+    assert max(spans) >= 2 and min(spans) == 1
+
+
+def test_mask_sizes_and_tops_are_cached_read_only_per_size():
+    info = _mask_sizes_and_tops.cache_info()
+    assert _subset_rates(np.empty((2, 0)), 1.0).tolist() == [[0.0], [0.0]]
+    assert _mask_sizes_and_tops.cache_info() == info  # no channels: the cache is not asked
+    for n in (1, 8, 10):
+        sizes, tops = _mask_sizes_and_tops(n)
+        again = _mask_sizes_and_tops(n)
+        assert again[0] is sizes and again[1] is tops
+        for array in again:
+            assert array.shape == (1 << n,) and not array.flags.writeable
+        assert sizes.tolist() == [mask.bit_count() for mask in range(1 << n)]
+        assert tops.tolist() == [max(mask.bit_length() - 1, 0) for mask in range(1 << n)]
+
+
 @settings(derandomize=True, database=None, max_examples=300)
 @given(st.lists(st.sampled_from(FLOAT_EDGE_NOISES), max_size=6), st.integers(0, 2),
        st.sampled_from((0.0, 1e-300, 1.0, 2.5, 1e300)))
@@ -324,7 +370,7 @@ def scan_cases():
 
 
 def test_scan_adds_its_logs_left_to_right():
-    # the one summation rule, which _subset_rates repeats column by column;
+    # the one summation rule, which _subset_rates repeats with np.add.accumulate;
     # Python's sum is compensated from 3.12 and would fail here
     fallbacks = set()
     for noises, budget in scan_cases():
