@@ -6,24 +6,22 @@ exhaustive computation, 4 I/O error.
 """
 
 import argparse
-import math
 import sys
 
 from .allocation import (STRATEGIES, InstanceTooLargeError, _utility_of, ratio_value,
                          reference_value, run_strategy)
 from .experiments import _fmt, evaluate_strategies, run_experiment, summarize, write_records_csv
-from .lemmas import _rate_table, rate_oracle
+from .lemmas import rate_oracle
 from .profiles import PRNG_ALGORITHM, PROFILE_KINDS, ProfileSpec, _check_seed, generate, replay_from_csv
 from .submodular import (
     MONOTONE_SETPAIR_CAP,
     GroundSetTooLargeError,
-    SetFunctionOracle,
     check_monotone,
     check_setpair_submodular,
     check_submodular_pairwise,
     violations_to_csv,
 )
-from .waterfill import NoiseProfile, _snr_noises, rate_of_subset, waterfill
+from .waterfill import NoiseProfile, _snr_noises, waterfill
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -31,6 +29,8 @@ EXIT_TOO_LARGE = 3
 EXIT_IO = 4
 
 _PROFILE_CHOICES = [k.replace("_", "-") for k in PROFILE_KINDS]
+_NOISES_HELP = "comma-separated positive noise variances, inf for a channel never funded"
+_SNRS_HELP = "comma-separated nonnegative SNRs (noise 1/SNR): a zero SNR is a channel never funded"
 _REFERENCE_BY_FLAG = {
     "brute-force": "brute_force_optimum",
     "analytic-upper": "analytic_upper_bound",
@@ -42,13 +42,6 @@ def _parse_reals(text, flag):
         return [float(tok) for tok in text.split(",")]
     except ValueError:
         raise ValueError(f"{flag} expects comma-separated numbers, got {text!r}") from None
-
-
-def _snrs_to_profile(snrs, budget):
-    """Channels for the SNRs with a finite noise 1/w, keyed by their original index, and every noise."""
-    noises = _snr_noises(snrs)
-    ids = [u for u, x in enumerate(noises) if x < math.inf]
-    return NoiseProfile([noises[u] for u in ids], budget, ids), noises
 
 
 def _input_column(args):
@@ -70,38 +63,33 @@ def _source(args, *flags):
     return given[0]
 
 
+def _profile(args, source):
+    """The profile at --power of ``source``: --noises, or --snrs or an --input
+    column, each SNR w a channel of noise 1/w (a zero SNR is never funded)."""
+    if source == "noises":
+        return NoiseProfile(_parse_reals(args.noises, "--noises"), args.power)
+    snrs = _input_column(args) if source == "input" else _parse_reals(args.snrs, "--snrs")
+    return NoiseProfile(_snr_noises(snrs), args.power)
+
+
 def _cmd_waterfill(args):
     source = _source(args, "noises", "snrs", "input")
     if source != "input":  # --basestation picks a column of --input
         _source(args, source, "basestation")
-    if source == "noises":
-        profile = NoiseProfile(_parse_reals(args.noises, "--noises"), args.power)
-        total = len(profile)
-    else:
-        snrs = _input_column(args) if source == "input" else _parse_reals(args.snrs, "--snrs")
-        profile, _ = _snrs_to_profile(snrs, args.power)
-        total = len(snrs)
+    profile = _profile(args, source)
     sol = waterfill(profile)
-    print(f"channels: {total}")
+    print(f"channels: {len(profile)}")
     print(f"budget: {_fmt(profile.budget)}")
     print(f"water_level: {'none' if sol.water_level is None else _fmt(sol.water_level)}")
     print(f"active_set: {' '.join(str(c) for c in sorted(sol.active_set))}")
-    for c in range(total):
-        print(f"power {c}: {_fmt(sol.powers.get(c, 0.0))}")
+    for c in profile.ids:
+        print(f"power {c}: {_fmt(sol.powers[c])}")
     print(f"rate_nats: {_fmt(sol.rate)}")
     return EXIT_OK
 
 
 def _cmd_check_submodular(args):
-    if _source(args, "noises", "snrs") == "snrs":
-        snrs = _parse_reals(args.snrs, "--snrs")
-        profile, noises = _snrs_to_profile(snrs, args.power)
-        # every SNR stays in the ground set; an unfunded one adds no rate to any subset
-        oracle = SetFunctionOracle(
-            frozenset(range(len(snrs))), lambda s: rate_of_subset(profile, s.intersection(profile.ids)),
-            _rate_table(noises.__getitem__, profile.budget))
-    else:
-        oracle = rate_oracle(NoiseProfile(_parse_reals(args.noises, "--noises"), args.power))
+    oracle = rate_oracle(_profile(args, _source(args, "noises", "snrs")))
     tolerance = args.tolerance + 0.0  # -0.0 + 0.0 is 0.0, so -0.0 prints as 0
     # check and write before the first print, so a rejected input or an
     # unwritable --output prints nothing
@@ -189,16 +177,16 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     w = sub.add_parser("waterfill", help="solve one power-allocation instance")
-    w.add_argument("--noises", help="comma-separated positive noise variances")
-    w.add_argument("--snrs", help="comma-separated nonnegative SNRs (noise is 1/SNR, zeros excluded)")
+    w.add_argument("--noises", help=_NOISES_HELP)
+    w.add_argument("--snrs", help=_SNRS_HELP)
     w.add_argument("--input", help="weight-matrix CSV to take SNRs from")
     w.add_argument("--basestation", type=int, help="1-based column of --input to solve")
     w.add_argument("--power", type=float, default=1.0, help="total power budget (default 1)")
     w.set_defaults(handler=_cmd_waterfill)
 
     c = sub.add_parser("check-submodular", help="run the exhaustive set-function checks")
-    c.add_argument("--noises", help="comma-separated positive noise variances")
-    c.add_argument("--snrs", help="comma-separated nonnegative SNRs")
+    c.add_argument("--noises", help=_NOISES_HELP)
+    c.add_argument("--snrs", help=_SNRS_HELP)
     c.add_argument("--power", type=float, default=1.0, help="total power budget (default 1)")
     c.add_argument("--tolerance", type=float, default=1e-9, help="violation tolerance (default 1e-9)")
     c.add_argument("--output", help="write pairwise violations to this CSV")

@@ -61,20 +61,17 @@ def _close(x, y):
     return abs(x - y) <= _REL_TOL * max(1.0, abs(x), abs(y))
 
 
-def _rate_table(noise_of, budget):
-    """An oracle ``table`` for channels of noise ``noise_of(e)``: every
-    subset's rate in one ``_subset_tables`` call."""
-    return lambda elems: _subset_tables([[noise_of(e) for e in elems]], budget)[0]
-
-
 def rate_oracle(profile: NoiseProfile) -> SetFunctionOracle:
     """The profile's subset -> optimal rate map as a checkable set function.
 
-    Its ``table`` (``_rate_table``) gives, bit for bit, the rates of
-    ``rate_of_subset``, and the oracle tables itself once for every check.
+    Its ``table``, every subset's rate in one ``_subset_tables`` call, gives
+    bit for bit the rates of ``rate_of_subset``, and the oracle tables
+    itself once for every check. A never-funded (infinite-noise) channel
+    stays in the ground set and adds no rate to any subset.
     """
+    noise_of, budget = profile.noise_of, profile.budget
     return SetFunctionOracle(frozenset(profile.ids), lambda s: rate_of_subset(profile, s),
-                             _rate_table(profile.noise_of, profile.budget))
+                             lambda elems: _subset_tables([[noise_of(e) for e in elems]], budget)[0])
 
 
 @dataclass(frozen=True)
@@ -130,9 +127,10 @@ def lemma_witness(profile, base, i, j):
     """Solve the four subproblems for (base, i, j) and record every relation.
 
     Requires distinct i and j outside a nonempty base set, all channels in
-    the profile, and a positive budget. The base set must be nonempty
-    because its water level is part of the record and the conservation
-    identity needs at least one funded base channel.
+    the profile, and a positive budget. The base set must hold a channel
+    that can be funded (a finite noise): its water level is part of the
+    record and the conservation identity needs at least one funded base
+    channel, and a base of only never-funded channels has no level.
     """
     base = frozenset(base)
     if i == j:
@@ -142,7 +140,8 @@ def lemma_witness(profile, base, i, j):
     sol_ij = _solve(profile, profile._known(base | {i, j}))  # raises on unknown channel ids
     sol = _solve(profile, profile._known(base))
     if sol.water_level is None:
-        raise ValueError("empty base set or zero budget: the base water level does not exist")
+        raise ValueError("empty base set, zero budget or never-funded base: "
+                         "the base water level does not exist")
     sol_i = _solve(profile, profile._known(base | {i}))
     sol_j = _solve(profile, profile._known(base | {j}))
 

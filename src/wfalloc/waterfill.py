@@ -1,10 +1,10 @@
 """Exact waterfilling for parallel Gaussian channels under a sum-power budget.
 
-Each channel i has a positive noise variance N_i. Spending power P_i on it
-yields log(1 + P_i / N_i) nats, and a total budget P is split across the
-channels to maximize the summed rate. The optimum funds channels up to a
-common water level: P_i = (level - N_i)^+ with the level fixed by
-sum_i (level - N_i)^+ = P.
+Each channel i has a positive noise variance N_i (infinite for a channel
+that is never funded). Spending power P_i on it yields log(1 + P_i / N_i)
+nats, and a total budget P is split across the channels to maximize the
+summed rate. The optimum funds channels up to a common water level:
+P_i = (level - N_i)^+ with the level fixed by sum_i (level - N_i)^+ = P.
 
 The solver is the exact sort-and-scan form, not an iterative search. Sort
 noises ascending and, for k = |S| down to 1, test the level implied by
@@ -34,8 +34,10 @@ __all__ = [
 class NoiseProfile:
     """Positive noise variances for a set of channels plus a power budget.
 
-    Channels carry distinct hashable ids (0..len-1 unless given) so that
-    subsets can be addressed when the optimal rate is used as a set
+    A noise of ``inf`` is a channel that waterfilling never funds, such as
+    an SNR of zero (noise 1/w); a set of only such channels has no water
+    level. Channels carry distinct hashable ids (0..len-1 unless given) so
+    that subsets can be addressed when the optimal rate is used as a set
     function. Instances are treated as immutable after construction.
     """
 
@@ -44,16 +46,16 @@ class NoiseProfile:
     def __init__(self, noises, budget, ids=None):
         self.noises = tuple(float(x) for x in noises)
         for x in self.noises:
-            if not math.isfinite(x) or x <= 0.0:
-                raise ValueError(f"noise variances must be positive and finite, got {x}")
+            if not x > 0.0:  # NaN, 0, negatives and -inf
+                raise ValueError(f"noise variances must be positive, inf for a channel never funded, "
+                                 f"got {x}")
         self.budget = float(budget) + 0.0  # -0.0 + 0.0 is 0.0, so a -0.0 budget prints as 0
         if not (math.isfinite(self.budget) and self.budget >= 0.0):
             raise ValueError(f"power budget must be finite and nonnegative, got {budget}")
-        if self.noises:
-            # every subset's level is at most budget + its noisiest channel
-            noisiest = max(self.noises)
-            if self.budget + noisiest == math.inf:
-                raise ValueError(f"water level overflows: budget {self.budget} plus noise {noisiest}")
+        # every subset's level is at most budget + its noisiest funded channel
+        noisiest = max((x for x in self.noises if x < math.inf), default=0.0)
+        if self.budget + noisiest == math.inf:
+            raise ValueError(f"water level overflows: budget {self.budget} plus noise {noisiest}")
         self.ids = tuple(range(len(self.noises))) if ids is None else tuple(ids)
         if len(self.ids) != len(self.noises):
             raise ValueError("need exactly one channel id per noise variance")
@@ -96,10 +98,10 @@ class NoiseProfile:
 class WaterfillSolution:
     """Optimal allocation for one profile.
 
-    ``water_level`` is None for an empty channel set or a zero budget, where
-    the rate is 0 and nothing is funded. ``powers`` maps every channel id to
-    its allotted power; ``active_set`` holds exactly the ids with positive
-    power.
+    ``water_level`` is None for an empty channel set, a zero budget or a
+    set of never-funded (infinite-noise) channels, where the rate is 0 and
+    nothing is funded. ``powers`` maps every channel id to its allotted
+    power; ``active_set`` holds exactly the ids with positive power.
     """
 
     water_level: float | None
@@ -259,12 +261,13 @@ def _subset_tables(noises, budget):
 def water_level(profile):
     """Common level at which the budget exactly fills the funded channels.
 
-    Raises ValueError on an empty channel set or a zero budget, where
-    ``waterfill`` reports no level and callers take rate 0 directly.
+    Raises ValueError on an empty channel set, a zero budget or a set of
+    never-funded (infinite-noise) channels, where ``waterfill`` reports no
+    level and callers take rate 0 directly.
     """
     level = waterfill(profile).water_level
     if level is None:
-        raise ValueError("empty set or zero budget: no water level exists")
+        raise ValueError("empty set, zero budget or never-funded channels: no water level exists")
     return level
 
 

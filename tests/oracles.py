@@ -1,7 +1,8 @@
 """Independent reference computations used across the test suite.
 
 Nothing here shares code paths with the library: the water level comes from
-bisection instead of sort-and-scan, optimal rates from a constrained
+bisection instead of sort-and-scan, or from a sort-and-scan in exact
+rational arithmetic instead of floats, optimal rates from a constrained
 numerical maximizer and random simplex sampling instead of the closed form,
 the offline optimum from plain product enumeration instead of the subset
 dynamic program, and checker violations from itertools enumeration instead
@@ -10,6 +11,7 @@ of the library's bitmask table.
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -31,6 +33,26 @@ def bisection_water_level(noises, budget, rel_tol=1e-13, max_iter=200):
         if hi - lo <= rel_tol * max(1.0, hi):
             break
     return 0.5 * (lo + hi)
+
+
+def exact_waterfill(noises, budget):
+    """(level, k): the exact water level of float noises and budget, as a
+    Fraction, and the number of channels it funds; (None, 0) when nothing
+    is funded (a zero budget, or no finite noise).
+
+    Infinite noises are never funded. Of the finite noises, sorted, the k
+    quietest are funded for the largest k whose level (budget + N_1 + ...
+    + N_k) / k lies strictly above N_k, every step in rationals.
+    """
+    finite = sorted(Fraction(x) for x in noises if x < math.inf)
+    if budget == 0.0 or not finite:
+        return None, 0
+    total = Fraction(budget) + sum(finite)
+    for k in range(len(finite), 0, -1):
+        if total / k > finite[k - 1]:
+            return total / k, k
+        total -= finite[k - 1]
+    raise AssertionError("a positive budget funds the quietest channel")
 
 
 def simplex_search_rate(noises, budget):

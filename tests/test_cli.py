@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wfalloc
-from wfalloc import cli
+from wfalloc import cli, lemmas
 from wfalloc.allocation import WeightMatrix
 from wfalloc.cli import main
 from wfalloc.experiments import RECORD_HEADER
@@ -50,6 +50,21 @@ def test_waterfill_from_snrs_drops_infinite_noise(capsys):
     assert "active_set: 1\n" in out
     assert "power 0: 0\n" in out
     assert f"rate_nats: {math.log(6.0):.12g}" in out
+
+
+def test_zero_snrs_and_infinite_noises_are_one_instance(capsys):
+    # SNR w is a channel of noise 1/w, so a zero SNR is an infinite noise: never funded
+    outs = []
+    for argv in (["waterfill"], ["check-submodular", "--tolerance", "0"]):
+        by_snrs = run_cli(capsys, *argv, "--snrs", "2,4,0", "--power", "2.5")
+        assert by_snrs == run_cli(capsys, *argv, "--noises", "0.5,0.25,inf", "--power", "2.5")
+        assert by_snrs[0::2] == (0, "")
+        outs.append(by_snrs[1])
+    assert outs == [
+        "channels: 3\nbudget: 2.5\nwater_level: 1.625\nactive_set: 0 1\n"
+        "power 0: 1.125\npower 1: 1.375\npower 2: 0\nrate_nats: 3.05045717324\n",
+        "ground_set: 3 elements, tolerance 0\npairwise: 0 violations in 6 triples\n"
+        "monotone: 0 violations\nsetpair: 0 violations\n"]
 
 
 def test_waterfill_from_zero_snrs_funds_nothing(capsys):
@@ -198,7 +213,7 @@ def test_check_submodular_snrs_tables_each_check_once(capsys, monkeypatch):
     waterfill_module, calls = sys.modules["wfalloc.waterfill"], []
     kernel = waterfill_module._subset_rates
     monkeypatch.setattr(waterfill_module, "_subset_rates", lambda *args: calls.append(1) or kernel(*args))
-    monkeypatch.setattr(cli, "rate_of_subset", lambda *args: pytest.fail("solved a subset alone"))
+    monkeypatch.setattr(lemmas, "rate_of_subset", lambda *args: pytest.fail("solved a subset alone"))
     inverted, invert = [], cli._snr_noises
     monkeypatch.setattr(cli, "_snr_noises", lambda snrs: inverted.append(1) or invert(snrs))
     # the two SNRs' joint rate is one ulp below the first's alone; the zero

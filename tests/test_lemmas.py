@@ -23,7 +23,7 @@ from wfalloc.submodular import (
     karamata_holds,
     majorizes,
 )
-from wfalloc.waterfill import NoiseProfile, waterfill
+from wfalloc.waterfill import NoiseProfile, rate_of_subset, waterfill
 
 from oracles import bisection_water_level
 
@@ -268,6 +268,32 @@ def test_rate_table_is_evaluate_bit_for_bit(p):
     table = oracle.table(elems)
     assert [v.hex() for v in table.tolist()] == \
         [float(oracle.evaluate(s)).hex() for s in every_subset(elems)]
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(labelled_profiles(max_size=6), st.lists(st.integers(0, 6), max_size=2))
+@example(NoiseProfile(ONE_ULP_NOISES, 1.0, ["b", "a"]), [0, 2])
+@example(NoiseProfile([], 1.0), [0, 0])
+def test_infinite_noises_are_channels_that_add_no_rate(p, slots):
+    # each slot is an infinite-noise channel whose id sorts next to c<slot>;
+    # the profile with them solves, subset by subset, as the profile without
+    noises, ids = list(p.noises), list(p.ids)
+    for k, slot in enumerate(slots):
+        noises.insert(slot, math.inf)
+        ids.insert(slot, f"c{slot}~{k}")
+    q = NoiseProfile(noises, p.budget, ids)
+    sol, alone = waterfill(q), waterfill(p)
+    assert (sol.water_level, sol.active_set, sol.rate.hex()) == \
+        (alone.water_level, alone.active_set, alone.rate.hex())
+    assert {c: x.hex() for c, x in sol.powers.items()} == \
+        {c: alone.powers.get(c, 0.0).hex() for c in ids}
+    elems = sorted(ids)
+    subsets = every_subset(elems)
+    expected = [rate_of_subset(p, s.intersection(p.ids)).hex() for s in subsets]
+    assert [rate_of_subset(q, s).hex() for s in subsets] == expected
+    oracle = rate_oracle(q)
+    assert [v.hex() for v in oracle.table(elems).tolist()] == expected
+    assert [float(oracle.evaluate(s)).hex() for s in subsets] == expected
 
 
 def count_calls(monkeypatch, targets):

@@ -1,6 +1,8 @@
 import functools
 import math
 import operator
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from wfalloc.waterfill import (
     waterfill,
 )
 
-from oracles import bisection_water_level, random_simplex_rate, simplex_search_rate
+from oracles import bisection_water_level, exact_waterfill, random_simplex_rate, simplex_search_rate
 
 
 def random_profile(rng, max_channels=6):
@@ -39,6 +41,28 @@ def test_profile_rejects_nonpositive_noise():
         NoiseProfile([1.0, 0.0], 1.0)
     with pytest.raises(ValueError, match="positive"):
         NoiseProfile([-2.0], 1.0)
+    for noise in (math.nan, -0.0, -math.inf):
+        with pytest.raises(ValueError, match="positive"):
+            NoiseProfile([1.0, noise], 1.0)
+
+
+def test_profile_takes_an_infinite_noise_as_a_channel_never_funded():
+    # an SNR of zero is a channel of noise 1/0: it stays a channel, with power 0
+    for budget in (0.0, 1e-300, 1.0, 1e300):
+        sol = waterfill(NoiseProfile([1.0, math.inf], budget))
+        alone = waterfill(NoiseProfile([1.0], budget))
+        assert sol.powers == {0: alone.powers[0], 1: 0.0}
+        assert (sol.water_level, sol.active_set, sol.rate) == \
+            (alone.water_level, alone.active_set, alone.rate)
+    # only the finite noises bound the level: budget + inf is not an overflow
+    assert waterfill(NoiseProfile([math.inf, 1e308], 1e307)).water_level == 1e308 + 1e307
+    with pytest.raises(ValueError, match="water level overflows"):
+        NoiseProfile([math.inf, 1.7e308], 1e308)
+    # nothing to fund: no level, rate 0
+    sol = waterfill(NoiseProfile([math.inf, math.inf], 1.0))
+    assert (sol.water_level, sol.powers, sol.rate) == (None, {0: 0.0, 1: 0.0}, 0.0)
+    with pytest.raises(ValueError, match="never-funded"):
+        water_level(NoiseProfile([math.inf], 1.0))
 
 
 def test_profile_rejects_negative_budget():
@@ -289,6 +313,20 @@ def assert_tables_are_rates(rows, budget):
             for mask in range(1 << n)]
 
 
+def test_subset_tables_take_their_logs_in_bounded_blocks():
+    # noises in [1, 2] at budget 30 fund all 6 x 1,023 non-empty subsets; one
+    # log step over all of them peaked at 2.28 MB, the blocked steps ~0.53 MB
+    noises = np.random.default_rng(26).uniform(1.0, 2.0, (6, 10))
+    _subset_tables(noises, 30.0)  # caches the mask sizes and tops
+    tracemalloc.start()
+    try:
+        _subset_tables(noises, 30.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_subset_tables_fund_every_subset_across_blocks():
     # at this budget all 16,383 non-empty subsets of 14 channels are funded,
     # so their logs are taken in more than one block
@@ -383,6 +421,45 @@ def test_scan_adds_its_logs_left_to_right():
     assert fallbacks == {False, True}
     # on the 12-channel row a correctly rounded sum lands elsewhere
     assert k == 12 and math.fsum(logs) != rate
+
+
+def level_cases(rng, count):
+    """(ascending noises, budget) in four families: 10^U(-30, 30) noises and
+    budgets; noises tied within 3 ulps, at budgets from far below their
+    resolution to above them; the float-edge noises and budgets; and the
+    noises 1/w of SNRs w at unit power. Each row ends in 0 to 2 infinite
+    noises."""
+    def ties(n):
+        base = 10 ** rng.uniform(-30, 30)
+        return [functools.reduce(math.nextafter, [math.inf] * int(j), base)
+                for j in rng.integers(0, 4, n)], base * 10 ** rng.uniform(-20, 1)
+
+    families = (
+        lambda n: ((10 ** rng.uniform(-30, 30, n)).tolist(), 10 ** rng.uniform(-30, 30)),
+        ties,
+        lambda n: (rng.choice(FLOAT_EDGE_NOISES, n).tolist(), float(rng.choice(FLOAT_EDGE_BUDGETS))),
+        lambda n: ((1.0 / rng.exponential(3.0, n)).tolist(), 1.0),
+    )
+    for case in range(count):
+        noises, budget = families[case % 4](int(rng.integers(1, 13)))
+        yield sorted(noises) + [math.inf] * int(rng.integers(0, 3)), budget
+
+
+def test_scan_level_is_within_n_plus_one_rounding_errors_of_the_exact_level():
+    # n finite noises: their prefix sum, the budget and the division round at
+    # most n + 1 times, whichever count the float scan funds
+    unit, recounted = Fraction(1, 1 << 53), 0
+    for row, budget in level_cases(np.random.default_rng(27), 8000):
+        level, k, _ = _scan(row, budget)
+        exact, exact_k = exact_waterfill(row, budget)
+        if exact is None:
+            assert (level, k) == (None, 0) and budget == 0.0
+            continue
+        n = sum(x < math.inf for x in row)
+        assert abs(Fraction(level) - exact) <= (n + 1) * unit * exact, (row, budget)
+        recounted += k != exact_k
+    # some near-tied channels are funded by one scan and not by the other
+    assert recounted > 0
 
 
 def test_rate_of_subset_rejects_unknown_ids_at_any_budget():
