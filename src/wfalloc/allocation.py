@@ -16,7 +16,7 @@ from functools import cache
 import numpy as np
 
 from .submodular import _pair_index
-from .waterfill import _BLOCK, _scan, _snr_noise_array, _subset_tables
+from .waterfill import _BLOCK, _check_snrs, _scan, _snr_noise_array, _subset_tables
 
 __all__ = [
     "BRUTE_FORCE_CAP",
@@ -62,7 +62,8 @@ class InstanceTooLargeError(ValueError):
 class WeightMatrix:
     """An n x m matrix of nonnegative finite SNRs, one row per arriving user.
 
-    Row order is arrival order. The underlying array is made read-only.
+    Row order is arrival order. The SNRs pass ``waterfill._check_snrs``
+    once, here; the underlying array is made read-only.
     """
 
     def __init__(self, weights):
@@ -71,8 +72,7 @@ class WeightMatrix:
             raise ValueError("weights must be two-dimensional: one row per user, one column per basestation")
         if arr.shape[1] < 1:
             raise ValueError("need at least one basestation column")
-        if arr.size and (not np.isfinite(arr).all() or (arr < 0.0).any()):
-            raise ValueError("SNR weights must be nonnegative and finite")
+        _check_snrs(arr)
         arr.setflags(write=False)
         self.weights = arr
 
@@ -155,8 +155,8 @@ def online_greedy(W, mode="marginal_gain"):
       2^-50) for n noises held. Past it, every position of the scan at or
       after N fails by more than the rounding of its level, and the
       positions before N are unchanged, so the solve would return the same
-      level, count and rate bit for bit. An infinite N is dropped, as
-      ``log_utility`` drops it.
+      level, count and rate bit for bit. An infinite N (a zero SNR, or a 1/w
+      that overflows) is never funded, as ``_scan`` never funds it.
     * Any other user first gets an upper bound on its gain. The rate is
       submodular (the paper's result), so the gain at a station is at most
       the gain at an empty one, log(1 + w). Weak duality caps it too: with
@@ -237,8 +237,8 @@ def _greedy_arrivals(W, marginal):
         if marginal:
             pending = []
             for j, w in enumerate(row):
-                # waterfill._snr_noises' rule, inline for W's validated SNRs: calling
-                # it per station made 400x16 greedy 49% slower (2-vCPU Xeon, in-process)
+                # waterfill._snr_noise_array's rule, inline for W's validated SNRs: calling
+                # a list rule per station made 400x16 greedy 49% slower (2-vCPU Xeon, in-process)
                 noise = 1.0 / w if w else math.inf
                 if noise >= cutoffs[j]:
                     if 0.0 > best_score:
@@ -327,11 +327,10 @@ def system_utility(alloc, W):
     """Sum over basestations of the log utility of their assigned users.
 
     The allocation must partition exactly the users of ``W``. ``W``'s
-    SNRs were validated once, so the n assigned ones map to noises through
-    ``waterfill._snr_noise_array``, the owner of the SNR rule for validated
-    arrays (``_snr_noises`` owns it for lists; greedy keeps a pinned scalar
-    copy), and each station's are solved by ``_scan`` as ``log_utility``
-    solves them.
+    SNRs were checked once, when it was built, so the n assigned ones map
+    to noises through ``waterfill._snr_noise_array``, the one owner of the
+    SNR rule (greedy keeps a pinned scalar copy), with no check again, and
+    each station's are solved by ``_scan`` as ``log_utility`` solves them.
     """
     if alloc.m != W.m:
         raise ValueError(f"allocation has {alloc.m} parts but the matrix has {W.m} basestations")
@@ -389,19 +388,19 @@ def offline_bruteforce(W):
     of giving users S to stations 0..j is best_j[S] = max over T within S
     of best_{j-1}[S - T] + f_j(T): O(m 3^n) steps. The tables f_j are
     ``_subset_tables`` of the noises ``waterfill._snr_noise_array`` gives
-    W's columns, whose entries add their logs left to right as ``_scan``
-    does. Each step is a numpy max-plus reduction over the (S - T, T)
-    pairs of ``_pair_index``, gathered with ``take``, every station per
-    block of ``_fold_blocks``: S - T <= S, so a block reads only earlier
-    blocks and what the station before just wrote; no temporary grows
-    with 3^n (malloc maps one that does anew, page faults and all, every
-    call). Each candidate is the one float addition
-    best_{j-1}[S - T] + f_j(T), so every value equals a scalar loop's bit
-    for bit. The decode walks back from the last station, summing the group
-    of the users left for all stations below at once. On ties the last
-    station takes the largest user bitmask, then each earlier station
-    likewise among the users left: its group lists T descending, so its
-    first maximum. Raises InstanceTooLargeError when m^n exceeds the cap.
+    W's columns, with no SNR checked again (W checked each once), and
+    their entries add their logs left to right as ``_scan`` does. Each
+    step is a numpy max-plus reduction over the (S - T, T) pairs of
+    ``_pair_index``, gathered with ``take``, every station per block of
+    ``_fold_blocks``: S - T <= S, so a block reads only earlier blocks and
+    what the station before just wrote; no temporary grows with 3^n
+    (malloc maps one that does anew, page faults and all, every call).
+    Each candidate is the one float addition best_{j-1}[S - T] + f_j(T),
+    so every value equals a scalar loop's bit for bit. The decode walks
+    back from the last station, summing the group of the users left for
+    all stations below at once. On ties the last station takes the
+    largest user bitmask, then each earlier station likewise among the
+    users left: its group lists T descending, so its first maximum. Raises InstanceTooLargeError when m^n exceeds the cap.
 
     Returns (allocation, value). For m >= 2 the value is the maximum the DP
     just found: every best_j[S] is the chain f_0(T_0) + ... + f_j(T_j) of

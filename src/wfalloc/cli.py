@@ -8,9 +8,8 @@ exhaustive computation, 4 I/O error.
 import argparse
 import sys
 
-from .allocation import (STRATEGIES, InstanceTooLargeError, _utility_of, ratio_value,
-                         reference_value, run_strategy)
-from .experiments import _fmt, evaluate_strategies, run_experiment, summarize, write_records_csv
+from .allocation import STRATEGIES, InstanceTooLargeError
+from .experiments import _evaluate, _fmt, evaluate_strategies, run_experiment, summarize, write_records_csv
 from .lemmas import rate_oracle
 from .profiles import PRNG_ALGORITHM, PROFILE_KINDS, ProfileSpec, _check_seed, generate, replay_from_csv
 from .submodular import (
@@ -21,7 +20,7 @@ from .submodular import (
     check_submodular_pairwise,
     violations_to_csv,
 )
-from .waterfill import NoiseProfile, _snr_noises, waterfill
+from .waterfill import NoiseProfile, _check_snrs, _snr_noise_array, waterfill
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -29,8 +28,6 @@ EXIT_TOO_LARGE = 3
 EXIT_IO = 4
 
 _PROFILE_CHOICES = [k.replace("_", "-") for k in PROFILE_KINDS]
-_NOISES_HELP = "comma-separated positive noise variances, inf for a channel never funded"
-_SNRS_HELP = "comma-separated nonnegative SNRs (noise 1/SNR): a zero SNR is a channel never funded"
 _REFERENCE_BY_FLAG = {
     "brute-force": "brute_force_optimum",
     "analytic-upper": "analytic_upper_bound",
@@ -50,7 +47,7 @@ def _input_column(args):
     W = replay_from_csv(args.input)
     if not 1 <= args.basestation <= W.m:
         raise ValueError(f"--basestation must be in 1..{W.m}")
-    return [float(x) for x in W.weights[:, args.basestation - 1]]
+    return W.weights[:, args.basestation - 1]
 
 
 def _source(args, *flags):
@@ -65,11 +62,12 @@ def _source(args, *flags):
 
 def _profile(args, source):
     """The profile at --power of ``source``: --noises, or --snrs or an --input
-    column, each SNR w a channel of noise 1/w (a zero SNR is never funded)."""
+    column, each SNR w a channel of noise 1/w (a zero SNR is never funded).
+    An --input column was checked when its matrix was read."""
     if source == "noises":
         return NoiseProfile(_parse_reals(args.noises, "--noises"), args.power)
-    snrs = _input_column(args) if source == "input" else _parse_reals(args.snrs, "--snrs")
-    return NoiseProfile(_snr_noises(snrs), args.power)
+    snrs = _input_column(args) if source == "input" else _check_snrs(_parse_reals(args.snrs, "--snrs"))
+    return NoiseProfile(_snr_noise_array(snrs), args.power)
 
 
 def _cmd_waterfill(args):
@@ -126,15 +124,11 @@ def _cmd_simulate(args):
         W = replay_from_csv(args.input)
     else:
         W = generate(ProfileSpec(args.profile, args.users, args.basestations, args.seed or 0))
-    strategies = args.strategy or ["greedy"]
     reference_kind = _REFERENCE_BY_FLAG[args.reference]
-    reference = reference_value(W, reference_kind)
+    reference, outcomes = _evaluate(W, args.strategy or ["greedy"], reference_kind)
     print(f"users: {W.n}  basestations: {W.m}")
     print(f"reference ({reference_kind}): {_fmt(reference)}")
-    for strategy in strategies:
-        alloc = run_strategy(strategy, W)
-        utility = _utility_of(alloc, W)
-        ratio = ratio_value(reference, utility)
+    for strategy, alloc, utility, ratio in outcomes:
         print(f"strategy {strategy}: utility {_fmt(utility)} ratio {_fmt(ratio)}")
         for j, part in enumerate(alloc.parts):
             users = " ".join(str(x) for x in sorted(part))
@@ -177,17 +171,11 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     w = sub.add_parser("waterfill", help="solve one power-allocation instance")
-    w.add_argument("--noises", help=_NOISES_HELP)
-    w.add_argument("--snrs", help=_SNRS_HELP)
-    w.add_argument("--input", help="weight-matrix CSV to take SNRs from")
-    w.add_argument("--basestation", type=int, help="1-based column of --input to solve")
-    w.add_argument("--power", type=float, default=1.0, help="total power budget (default 1)")
+    _add_channel_flags(w, column=True)
     w.set_defaults(handler=_cmd_waterfill)
 
     c = sub.add_parser("check-submodular", help="run the exhaustive set-function checks")
-    c.add_argument("--noises", help=_NOISES_HELP)
-    c.add_argument("--snrs", help=_SNRS_HELP)
-    c.add_argument("--power", type=float, default=1.0, help="total power budget (default 1)")
+    _add_channel_flags(c)
     c.add_argument("--tolerance", type=float, default=1e-9, help="violation tolerance (default 1e-9)")
     c.add_argument("--output", help="write pairwise violations to this CSV")
     c.set_defaults(handler=_cmd_check_submodular)
@@ -203,6 +191,18 @@ def build_parser():
     r.set_defaults(handler=_cmd_ratio_experiment)
 
     return parser
+
+
+def _add_channel_flags(p, column=False):
+    """--noises and --snrs, with ``column`` also --input and --basestation, then --power."""
+    p.add_argument("--noises", help="comma-separated positive noise variances, "
+                                    "inf for a channel never funded")
+    p.add_argument("--snrs", help="comma-separated nonnegative SNRs (noise 1/SNR): "
+                                  "a zero SNR is a channel never funded")
+    if column:
+        p.add_argument("--input", help="weight-matrix CSV to take SNRs from")
+        p.add_argument("--basestation", type=int, help="1-based column of --input to solve")
+    p.add_argument("--power", type=float, default=1.0, help="total power budget (default 1)")
 
 
 def _add_instance_flags(p):

@@ -6,6 +6,7 @@ comparisons are low-variance and the whole run is reproducible byte for
 byte.
 """
 
+import numbers
 from dataclasses import dataclass
 from statistics import fmean
 
@@ -18,6 +19,7 @@ from .allocation import (
     run_strategy,
 )
 from .profiles import ProfileSpec, generate
+from .waterfill import _sink
 
 __all__ = [
     "RECORD_HEADER",
@@ -62,19 +64,28 @@ class SummaryRow:
     mean_utility: float
 
 
-def evaluate_strategies(W, strategies, reference_kind, *, trial, profile_name, seed):
-    """Records for all strategies on one matrix, sharing one reference value."""
+def _evaluate(W, strategies, reference_kind):
+    """The one evaluation loop: ``W``'s reference value, computed once, and
+    per strategy in order its (strategy, allocation, utility, ratio). Each
+    strategy runs through this module's ``run_strategy``."""
     _check_names(strategies, reference_kind)
     reference = reference_value(W, reference_kind)
-    records = []
+    outcomes = []
     for strategy in strategies:
-        utility = _utility_of(run_strategy(strategy, W), W)
-        records.append(ExperimentRecord(
-            trial=trial, n=W.n, m=W.m, profile=profile_name, strategy=strategy,
-            utility=utility, offline_bound=reference, reference_kind=reference_kind,
-            ratio=ratio_value(reference, utility), seed=seed,
-        ))
-    return records
+        alloc = run_strategy(strategy, W)
+        utility = _utility_of(alloc, W)
+        outcomes.append((strategy, alloc, utility, ratio_value(reference, utility)))
+    return reference, outcomes
+
+
+def evaluate_strategies(W, strategies, reference_kind, *, trial, profile_name, seed):
+    """Records for all strategies on one matrix, sharing one reference value."""
+    reference, outcomes = _evaluate(W, strategies, reference_kind)
+    return [ExperimentRecord(
+        trial=trial, n=W.n, m=W.m, profile=profile_name, strategy=strategy,
+        utility=utility, offline_bound=reference, reference_kind=reference_kind,
+        ratio=ratio, seed=seed,
+    ) for strategy, _, utility, ratio in outcomes]
 
 
 def run_experiment(kind, n, m, trials, strategies=("greedy",),
@@ -85,6 +96,8 @@ def run_experiment(kind, n, m, trials, strategies=("greedy",),
     (trial, strategy) order. Requesting the brute-force reference on an
     instance with m^n beyond the brute-force cap fails up front.
     """
+    if not isinstance(trials, numbers.Integral):
+        raise ValueError(f"trials must be an integer, got {trials!r}")
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     spec0 = ProfileSpec(kind, n, m, seed)
@@ -140,8 +153,5 @@ def format_records_csv(records):
 
 def write_records_csv(records, dest):
     text = format_records_csv(records)
-    if hasattr(dest, "write"):
-        dest.write(text)
-    else:
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    with _sink(dest) as fh:
+        fh.write(text)

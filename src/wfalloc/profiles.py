@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import WeightMatrix
+from .waterfill import _check_snrs, _sink
 
 __all__ = [
     "PROFILE_KINDS",
@@ -130,18 +131,11 @@ def _csv_header(m):
 
 def write_weights_csv(W: WeightMatrix, dest):
     """Write ``W`` in the replay format; floats round-trip exactly."""
-
-    def _write(fh):
+    with _sink(dest) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_csv_header(W.m))
         for u in range(W.n):
             writer.writerow([u] + [repr(float(x)) for x in W.weights[u]])
-
-    if hasattr(dest, "write"):
-        _write(dest)
-    else:
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            _write(fh)
 
 
 def replay_from_csv(path) -> WeightMatrix:
@@ -171,10 +165,10 @@ def replay_from_csv(path) -> WeightMatrix:
                 values = [float(cell) for cell in row[1:]]
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: non-numeric SNR cell") from None
-            for v in values:
-                if not math.isfinite(v) or v < 0.0:
-                    raise ValueError(f"{path}: line {lineno}: SNRs must be nonnegative and finite")
-            rows.append(values)
+            try:
+                rows.append(_check_snrs(values))
+            except ValueError as exc:
+                raise ValueError(f"{path}: line {lineno}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no users")
     return WeightMatrix(np.array(rows))

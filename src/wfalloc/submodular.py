@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .waterfill import _BLOCK
+from .waterfill import _BLOCK, _sink
 
 __all__ = [
     "MONOTONE_SETPAIR_CAP",
@@ -290,16 +290,9 @@ def karamata_holds(a, b, g, tolerance=1e-9):
 
 def violations_to_csv(violations, dest):
     """Debug dump of pairwise violations, one CSV row per triple."""
-
-    def _write(fh):
+    with _sink(dest) as fh:
         writer = csv.writer(fh)
         writer.writerow(["base_set", "i", "j", "lhs", "rhs", "gap"])
         for v in violations:
             base = ";".join(str(e) for e in sorted(v.base_set))
             writer.writerow([base, v.elem_i, v.elem_j, repr(v.lhs), repr(v.rhs), repr(v.gap)])
-
-    if hasattr(dest, "write"):
-        _write(dest)
-    else:
-        with open(dest, "w", encoding="utf-8", newline="") as fh:
-            _write(fh)

@@ -15,6 +15,7 @@ log (nats).
 """
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
@@ -298,35 +299,47 @@ def rate_of_subset(profile, channels):
     return _scan(sorted(profile.noise_of(c) for c in frozenset(channels)), profile.budget)[2]
 
 
-def _snr_noises(snrs):
-    """The owner of the SNR rule for lists: noise 1/w for SNR w, infinite
-    (never funded) for a zero SNR or a 1/w that overflows. Raises
-    ValueError on a non-finite, then a negative SNR, checked in list order.
-    ``_snr_noise_array`` applies it to validated arrays."""
-    noises = []
-    for w in snrs:
-        w = float(w)
-        if not math.isfinite(w):
-            raise ValueError(f"SNRs must be finite, got {w}")
-        if w < 0.0:
-            raise ValueError(f"SNRs must be nonnegative, got {w}")
-        noises.append(1.0 / w if w > 0.0 else math.inf)
-    return noises
+def _check_snrs(snrs):
+    """``snrs`` as a float array, checked once: the one SNR check. Raises
+    ValueError on the first SNR, in row-major order, that is not finite or,
+    failing that, is negative; -0.0 passes, as a zero SNR."""
+    snrs = np.asarray(snrs, dtype=float)
+    valid = (snrs >= 0.0) & (snrs < math.inf)  # false for NaN
+    if not valid.all():
+        w = float(snrs.flat[valid.argmin()])
+        raise ValueError(f"SNRs must be {'nonnegative' if math.isfinite(w) else 'finite'}, got {w}")
+    return snrs
 
 
-def _snr_noise_array(weights):
-    """``_snr_noises``' rule for an array of SNRs validated once (by
-    ``WeightMatrix``), element for element and with no checks: w > 0, as
-    1 / -0.0 is -inf."""
+def _snr_noise_array(snrs):
+    """The SNR rule, for SNRs ``_check_snrs`` passed: noise 1/w for SNR w,
+    infinite (never funded) for a zero SNR or a 1/w that overflows, element
+    for element and with no checks. Adding 0.0 turns -0.0, whose 1/w is
+    -inf, into 0.0 and leaves every other SNR as it is."""
     with np.errstate(divide="ignore", over="ignore"):
-        return np.where(weights > 0.0, 1.0 / weights, math.inf)
+        return 1.0 / (snrs + 0.0)
 
 
 def log_utility(snrs):
     """Best sum rate from splitting one basestation's unit transmit power
     across receivers with the given SNRs.
 
-    A receiver with SNR w behaves like a channel with noise 1/w. Receivers
-    whose noise is infinite (``_snr_noises``) are never funded by ``_scan``.
+    A receiver with SNR w behaves like a channel with noise 1/w. ``snrs``
+    may be any iterable; ``_check_snrs`` checks it, ``_snr_noise_array``
+    maps it, and ``_scan`` never funds the infinite noises of zero SNRs.
     """
-    return _scan(sorted(_snr_noises(snrs)), 1.0)[2]
+    noises = _snr_noise_array(_check_snrs(np.fromiter(snrs, float)))
+    return _scan(sorted(noises.tolist()), 1.0)[2]
+
+
+@contextmanager
+def _sink(dest):
+    """The one path-or-stream rule of the three CSV writers, kept in this
+    module, which each of theirs imports with no cycle: a stream is written
+    as given and left open, and a path is opened for writing as UTF-8 with
+    no newline translation."""
+    if hasattr(dest, "write"):
+        yield dest
+    else:
+        with open(dest, "w", encoding="utf-8", newline="") as fh:
+            yield fh

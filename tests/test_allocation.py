@@ -29,6 +29,7 @@ from wfalloc.allocation import (
     offline_upper_bound,
     online_greedy,
     ratio_value,
+    reference_value,
     run_strategy,
     system_utility,
 )
@@ -38,7 +39,6 @@ from wfalloc.waterfill import (
     NoiseProfile,
     _scan,
     _snr_noise_array,
-    _snr_noises,
     _subset_tables,
     log_utility,
     water_level,
@@ -61,10 +61,24 @@ def test_weight_matrix_validation():
         WeightMatrix([1.0, 2.0])
     with pytest.raises(ValueError, match="nonnegative"):
         WeightMatrix([[1.0, -2.0]])
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match="finite"):
         WeightMatrix([[1.0, math.inf]])
     W = WeightMatrix([[1.0, 2.0]])
     assert (W.n, W.m) == (1, 2)
+
+
+def test_weight_matrix_needs_a_column_and_equals_only_weight_matrices():
+    for empty in (np.zeros((3, 0)), [[]]):
+        with pytest.raises(ValueError, match="at least one basestation column"):
+            WeightMatrix(empty)
+    W = WeightMatrix([[1.0]])
+    assert W.__eq__(1) is NotImplemented and W != 1
+    assert W == WeightMatrix(np.ones((1, 1))) and W != WeightMatrix([[1.0, 1.0]])
+
+
+def test_reference_value_rejects_an_unknown_kind():
+    with pytest.raises(ValueError, match="unknown reference kind 'oracle'"):
+        reference_value(WeightMatrix([[1.0, 2.0]]), "oracle")
 
 
 def test_allocation_rejects_overlap():
@@ -267,14 +281,12 @@ GREEDY_NOISE = "noise = 1.0 / w if w else math.inf"
 
 
 def test_the_snr_rule_copies_match_its_owner(monkeypatch):
-    # _snr_noises owns the SNR -> noise rule for lists and _snr_noise_array
-    # for validated arrays; the array rule, greedy's inline copy and the
-    # noises brute force tables must give _snr_noises' noises bit for bit
+    # _snr_noise_array owns the SNR -> noise rule; greedy's inline copy and
+    # the noises brute force tables must give its noises bit for bit
     snrs = FLOAT_EDGE_SNRS  # with -0.0 and the subnormals 5e-324 and 1e-310
-    owner = [x.hex() for x in _snr_noises(snrs)]
+    owner = [x.hex() for x in _snr_noise_array(np.array(snrs)).tolist()]
     assert GREEDY_NOISE in inspect.getsource(allocation._greedy_arrivals)
     assert [(1.0 / w if w else math.inf).hex() for w in snrs] == owner
-    assert [x.hex() for x in _snr_noise_array(np.array(snrs)).tolist()] == owner
     tables, tabulate = [], allocation._subset_tables
     monkeypatch.setattr(allocation, "_subset_tables",
                         lambda noises, budget: tables.append(noises) or tabulate(noises, budget))
@@ -864,20 +876,21 @@ def test_bruteforce_one_station_many_users():
 def test_bruteforce_and_system_utility_check_no_snr_again(monkeypatch):
     # brute force hands back the optimum its DP found, and system_utility maps
     # the matrix's validated SNRs to noises without re-checking any of them
+    matrices = [WeightMatrix(np.random.default_rng(m).uniform(0.0, 5.0, (6, m))) for m in (2, 3, 5)]
+    one_station = WeightMatrix(np.ones((4, 1)))
     calls, originals = [], {}
     for module in (allocation, sys.modules["wfalloc.waterfill"]):
-        for name in ("system_utility", "log_utility", "_snr_noises"):
+        for name in ("system_utility", "log_utility", "_check_snrs"):
             if hasattr(module, name):
                 fn = originals[name] = getattr(module, name)
                 monkeypatch.setattr(module, name, lambda *a, _n=name, _f=fn: calls.append(_n) or _f(*a))
-    for m in (2, 3, 5):
-        W = WeightMatrix(np.random.default_rng(m).uniform(0.0, 5.0, (6, m)))
+    for W in matrices:
         alloc, _ = offline_bruteforce(W)
         assert calls == []
         originals["system_utility"](alloc, W)
         assert calls == []
     # one station has no DP: its value is system_utility's, which re-checks nothing
-    offline_bruteforce(WeightMatrix(np.ones((4, 1))))
+    offline_bruteforce(one_station)
     assert calls == ["system_utility"]
 
 

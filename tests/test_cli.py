@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -14,8 +15,10 @@ import wfalloc
 from wfalloc import cli, lemmas
 from wfalloc.allocation import WeightMatrix
 from wfalloc.cli import main
-from wfalloc.experiments import RECORD_HEADER
+from wfalloc.experiments import RECORD_HEADER, run_experiment, write_records_csv
 from wfalloc.profiles import ProfileSpec, generate, write_weights_csv
+from wfalloc.submodular import SubmodularityViolation, violations_to_csv
+from wfalloc.waterfill import log_utility
 
 from oracles import counting_order_subsets
 
@@ -136,6 +139,20 @@ def test_negative_snrs_are_rejected(capsys):
             assert run_cli(capsys, command, f"--snrs={snrs}") == (2, "", f"error: {err}\n")
 
 
+def test_every_boundary_reports_the_one_snr_check(capsys, tmp_path):
+    # the first bad SNR in row-major order, worded alike by the library,
+    # --snrs and a replayed file (with its line)
+    message = "SNRs must be nonnegative, got -1.0"
+    for call in (lambda: WeightMatrix([[1.0, -1.0], [math.nan, 1.0]]),
+                 lambda: log_utility(iter([1.0, -1.0, math.nan]))):
+        with pytest.raises(ValueError, match=message):
+            call()
+    assert run_cli(capsys, "waterfill", "--snrs=1,-1,nan") == (2, "", f"error: {message}\n")
+    path = tmp_path / "bad.csv"
+    path.write_text("user,bs_1,bs_2\n0,1.0,-1.0\n1,nan,1.0\n")
+    assert run_cli(capsys, "simulate", "--input", str(path)) == (2, "", f"error: {path}: line 2: {message}\n")
+
+
 def test_waterfill_rejects_a_profile_with_an_unsolvable_subset(capsys):
     code, out, err = run_cli(capsys, "waterfill", "--noises", "1,1e308", "--power", "1e308")
     assert code == 2
@@ -214,8 +231,8 @@ def test_check_submodular_snrs_tables_each_check_once(capsys, monkeypatch):
     kernel = waterfill_module._subset_rates
     monkeypatch.setattr(waterfill_module, "_subset_rates", lambda *args: calls.append(1) or kernel(*args))
     monkeypatch.setattr(lemmas, "rate_of_subset", lambda *args: pytest.fail("solved a subset alone"))
-    inverted, invert = [], cli._snr_noises
-    monkeypatch.setattr(cli, "_snr_noises", lambda snrs: inverted.append(1) or invert(snrs))
+    inverted, invert = [], cli._snr_noise_array
+    monkeypatch.setattr(cli, "_snr_noise_array", lambda snrs: inverted.append(1) or invert(snrs))
     # the two SNRs' joint rate is one ulp below the first's alone; the zero
     # SNR and 1e-310, whose 1/w overflows, are never funded
     code, out, err = run_cli(capsys, "check-submodular", "--snrs",
@@ -506,3 +523,44 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "water_level: 2" in proc.stdout
+
+
+def test_csv_writers_write_a_path_as_they_write_a_stream(tmp_path):
+    # one sink for all three: a stream is written as given and left open, a
+    # path is opened as UTF-8 with no newline translation
+    W = generate(ProfileSpec("iid_ten", 3, 2, 5))
+    violation = SubmodularityViolation(frozenset({0}), 1, 2, 0.5, 1.5, 1.0)
+    for write, what, lines, crlf in ((write_weights_csv, W, 4, False),
+                                     (write_records_csv, run_experiment("iid_unit", 2, 2, 2), 3, False),
+                                     (violations_to_csv, [violation], 2, True)):
+        path, stream = tmp_path / "out.csv", io.StringIO()
+        write(what, path)
+        write(what, stream)
+        assert not stream.closed
+        text = stream.getvalue()
+        assert path.read_bytes() == text.encode()
+        assert (text.count("\n"), text.count("\r\n")) == (lines, lines if crlf else 0)
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_cli_commands():
+    """Each ``wfalloc ...`` command of README's CLI block, as argv after the
+    program name, with backslash-continued lines joined."""
+    block = README.read_text(encoding="utf-8").split("## CLI\n", 1)[1]
+    block = block.split("```sh\n", 1)[1].split("```", 1)[0].replace("\\\n", " ")
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("wfalloc ")]
+
+
+def test_every_readme_cli_command_exits_zero(capsys, tmp_path, monkeypatch):
+    # keeps the documented commands in step with the CLI
+    monkeypatch.chdir(tmp_path)
+    write_weights_csv(generate(ProfileSpec("iid_ten", 6, 3, 7)), "weights.csv")
+    commands = readme_cli_commands()
+    assert [argv[0] for argv in commands] == ["waterfill"] * 3 + ["check-submodular"] * 2 + [
+        "simulate", "ratio-experiment"]
+    for argv in commands:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+    assert (tmp_path / "violations.csv").exists() and (tmp_path / "records.csv").exists()

@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 
+import numpy as np
 import pytest
 
 from wfalloc import allocation, cli, experiments
@@ -37,6 +38,14 @@ def test_bad_strategies_and_trials_are_rejected_before_any_work():
                             trial=0, profile_name="iid-unit", seed=0)
     with pytest.raises(ValueError, match="trials must be nonnegative"):
         run_experiment("iid_unit", 5, 2, -1)
+
+
+def test_trials_must_be_an_integer():
+    # checked like ProfileSpec checks n and m, before range() sees it
+    for trials in (2.5, 2.0, "2"):
+        with pytest.raises(ValueError, match=f"trials must be an integer, got {trials!r}"):
+            run_experiment("iid_unit", 2, 2, trials)
+    assert len(run_experiment("iid_unit", 2, 2, np.int64(2))) == 2
 
 
 def test_records_are_deterministic_and_paired():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -210,6 +211,22 @@ def test_csv_header_shape(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "user,bs_1,bs_2"
     assert lines[1] == "0,1.5,2.5"
+
+
+def test_replay_skips_blank_rows_and_counts_their_lines(tmp_path):
+    path = tmp_path / "blank.csv"
+    path.write_text("user,bs_1,bs_2\n0,1.0,2.0\n\n1,3.0,4.0\n")
+    assert replay_from_csv(path) == WeightMatrix([[1.0, 2.0], [3.0, 4.0]])
+    # line numbers count the blank rows: errors name the line of the file
+    path.write_text("user,bs_1,bs_2\n0,1.0,2.0\n\n1,3.0,-4.0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 4: SNRs must be nonnegative, got -4.0")):
+        replay_from_csv(path)
+    path.write_text("user,bs_1,bs_2\n\n0,1.0,2.0\n\n\n2,3.0,4.0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 6: user cell must be 1, got '2'")):
+        replay_from_csv(path)
+    path.write_text("user,bs_1,bs_2\n0,1.0,2.0\n\n1,nan,-1.0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 4: SNRs must be finite, got nan")):
+        replay_from_csv(path)
 
 
 def test_csv_errors(tmp_path):

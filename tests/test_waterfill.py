@@ -1,7 +1,9 @@
 import functools
 import math
 import operator
+import re
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +15,7 @@ from wfalloc.profiles import PROFILE_KINDS, ProfileSpec, generate
 from wfalloc.waterfill import (
     _BLOCK,
     NoiseProfile,
+    _check_snrs,
     _mask_sizes_and_tops,
     _scan,
     _snr_noise_array,
@@ -24,7 +27,13 @@ from wfalloc.waterfill import (
     waterfill,
 )
 
-from oracles import bisection_water_level, exact_waterfill, random_simplex_rate, simplex_search_rate
+from oracles import (
+    bisection_water_level,
+    exact_waterfill,
+    precise_rate,
+    random_simplex_rate,
+    simplex_search_rate,
+)
 
 
 def random_profile(rng, max_channels=6):
@@ -63,6 +72,15 @@ def test_profile_takes_an_infinite_noise_as_a_channel_never_funded():
     assert (sol.water_level, sol.powers, sol.rate) == (None, {0: 0.0, 1: 0.0}, 0.0)
     with pytest.raises(ValueError, match="never-funded"):
         water_level(NoiseProfile([math.inf], 1.0))
+
+
+def test_profile_equality_compares_noises_budget_and_ids():
+    p = NoiseProfile([1.0, 2.0], 1.0)
+    assert p == NoiseProfile((1, 2), 1) and p == p.subset([0, 1])
+    assert p != NoiseProfile([1.0, 2.0], 2.0)
+    assert p != NoiseProfile([2.0, 1.0], 1.0)
+    assert p != NoiseProfile([1.0, 2.0], 1.0, ids="ab")
+    assert p.__eq__((1.0, 2.0)) is NotImplemented and p != (1.0, 2.0)
 
 
 def test_profile_rejects_negative_budget():
@@ -462,6 +480,30 @@ def test_scan_level_is_within_n_plus_one_rounding_errors_of_the_exact_level():
     assert recounted > 0
 
 
+def test_scan_rate_is_within_k_plus_one_squared_rounding_errors_of_the_precise_rate():
+    # online_greedy's rounding lemma: a rate _scan returns for k funded channels
+    # is within (k+1)^2 2^-53 (1 + rate) of the rate at the exact level
+    unit, worst, recounted = Decimal(2) ** -53, 0.0, 0
+    for row, budget in level_cases(np.random.default_rng(28), 2000):
+        _, k, rate = _scan(row, budget)
+        precise = precise_rate(row, budget)
+        share = abs(Decimal(rate) - precise) / ((k + 1) ** 2 * unit * (1 + precise))
+        assert share <= 1, (row, budget)
+        worst = max(worst, float(share))
+        recounted += k != exact_waterfill(row, budget)[1]
+    # the bound is met with rounding to spare, not by exact rates, also where
+    # the float scan funds another count than the exact one
+    assert 0.1 < worst and recounted > 0
+    # every subset of one row of the table kernel, held to _scan's rate by
+    # test_both_kernels_keep_one_contract
+    row = sorted((1.0 / np.random.default_rng(14).exponential(3.0, 8)).tolist()) + [math.inf]
+    for mask, rate in enumerate(_subset_rates(np.array([row]), 1.0)[0].tolist()):
+        subset = [x for t, x in enumerate(row) if mask >> t & 1]
+        k = _scan(subset, 1.0)[1]
+        precise = precise_rate(subset, 1.0)
+        assert abs(Decimal(rate) - precise) <= (k + 1) ** 2 * unit * (1 + precise), subset
+
+
 def test_rate_of_subset_rejects_unknown_ids_at_any_budget():
     for budget in (0.0, 1.0):
         with pytest.raises(ValueError, match="unknown channel"):
@@ -493,6 +535,26 @@ def test_log_utility_errors():
         log_utility([1.0, -0.1])
     with pytest.raises(ValueError, match="finite"):
         log_utility([1.0, math.inf])
+
+
+def test_the_snr_check_reports_the_first_bad_snr_in_row_major_order():
+    # the one check behind WeightMatrix, log_utility, --snrs and replay
+    for snrs, message in (
+        ([1.0, -1.0, math.nan], "nonnegative, got -1.0"),
+        ([1.0, math.nan, -1.0], "finite, got nan"),
+        ([[1.0, 2.0], [-2.0, math.inf]], "nonnegative, got -2.0"),
+        ([[1.0, math.inf], [-2.0, 1.0]], "finite, got inf"),
+        (np.array([[1.0, -1.0], [math.nan, 1.0]]).T, "finite, got nan"),  # the order as given
+        ([-math.inf], "finite, got -inf"),  # a single entry: not finite before negative
+        ([-5e-324], "nonnegative, got -5e-324"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"SNRs must be {message}")):
+            _check_snrs(snrs)
+    # -0.0 and empty input pass, as float arrays
+    checked = _check_snrs([[-0.0, 1], [2, 0]])
+    assert checked.dtype == float and checked.tolist() == [[0.0, 1.0], [2.0, 0.0]]
+    assert _check_snrs([]).shape == (0,)
+    assert log_utility(iter([-0.0, 1.0])) == log_utility([1.0])
 
 
 def test_log_utility_matches_waterfill_on_reciprocal_noises():
