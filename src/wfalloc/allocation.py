@@ -169,20 +169,31 @@ def online_greedy(W, mode="marginal_gain"):
       wins the tie.
     * The margin is (n+2)^2 2^-50 (1 + L(M_j) + bound), the cutoff's factor
       times the rates in play, which covers the rounding between the
-      computed score and the computed bound. A rate ``_scan`` returns for
-      k <= n + 1 channels is within about (k+1)^2 2^-53 (1 + rate) of the
-      exact rate of its noises: its level carries the rounding of k
-      additions and a division, each log that of a division and its own,
-      and a channel the rounded level funds or leaves dry wrongly sits
-      within that rounding of the level, so moves the sum by no more. The
-      stored level, one ulp above a dry noise included, is off by at most
-      (n+1) 2^-53 relative. That moves h(level * w) by no more, since
-      r h'(r) = 1 - 1/r < 1, and the dual value only by its square.
-      log1p, h, N = 1/w and the final subtraction or addition round by a
-      few ulps of the bound. The sum is about a quarter of the margin (a
-      property test holds it under half), so a station whose bound plus
-      margin is below the best score has a computed score below it too,
-      and could not have won or tied.
+      computed score and the computed bound. Tests hold each step against
+      exact levels and 80-digit rates:
+
+      - Both bounds hold for the exact gain, with no slack, at the SNR
+        1/N of the channel added, N = 1/w rounded. That SNR is within
+        2^-51 of w in log, which moves either bound by no more
+        (``test_gain_bound_facts_hold_for_the_precise_gain``).
+      - The stored level, one ulp above a dry noise included, is within
+        (n+1) 2^-53 relative of the exact level
+        (``test_scan_level_is_within_n_plus_one_rounding_errors_of_the_exact_level``).
+        That moves h(level * w) by no more, since r h'(r) = 1 - 1/r < 1,
+        and the dual value only by its square.
+      - A rate ``_scan`` returns for k <= n + 1 channels is within
+        (k+1)^2 2^-53 (1 + rate) of the exact rate of its noises
+        (``test_scan_rate_is_within_k_plus_one_squared_rounding_errors_of_the_precise_rate``):
+        its level carries the rounding of k additions and a division, each
+        log that of a division and its own, and a channel the rounded
+        level funds or leaves dry wrongly sits within that rounding of the
+        level, so moves the sum by no more.
+
+      log1p, h and the final subtraction or addition round by a few ulps
+      of the bound. The sum is about a quarter of the margin, and
+      ``test_gain_bound_covers_every_computed_score`` holds it under half,
+      so a station whose bound plus margin is below the best score has a
+      computed score below it too, and could not have won or tied.
     * In ``marginal_gain`` mode every station is scored or bounded, in
       index order, and the bounded ones are then solved in descending order
       of bound until the next is below the best score. In

@@ -6,9 +6,9 @@ comparisons are low-variance and the whole run is reproducible byte for
 byte.
 """
 
+import math
 import numbers
 from dataclasses import dataclass
-from statistics import fmean
 
 from .allocation import (
     _check_names,
@@ -117,7 +117,11 @@ def run_experiment(kind, n, m, trials, strategies=("greedy",),
 
 
 def summarize(records):
-    """Mean and max ratio (and mean utility) per (profile, strategy, n)."""
+    """Mean and max ratio (and mean utility) per (profile, strategy, n).
+
+    Each mean is ``math.fsum`` of the values over their count, as
+    ``statistics.fmean`` takes it, with no import of ``statistics``, which
+    pulls in ``fractions`` and ``decimal``."""
     if not records:
         raise ValueError("no records to summarize")
     groups = {}
@@ -128,9 +132,9 @@ def summarize(records):
         rs = groups[key]
         rows.append(SummaryRow(
             profile=key[0], strategy=key[1], n=key[2], trials=len(rs),
-            mean_ratio=fmean(r.ratio for r in rs),
+            mean_ratio=math.fsum(r.ratio for r in rs) / len(rs),
             max_ratio=max(r.ratio for r in rs),
-            mean_utility=fmean(r.utility for r in rs),
+            mean_utility=math.fsum(r.utility for r in rs) / len(rs),
         ))
     return rows
 

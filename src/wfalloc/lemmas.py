@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 from .submodular import SetFunctionOracle, karamata_holds
-from .waterfill import NoiseProfile, _solve, _subset_tables, rate_of_subset
+from .waterfill import NoiseProfile, _fill, _subset_tables, rate_of_subset
 
 __all__ = [
     "MAIN_CASE",
@@ -126,6 +126,12 @@ class LemmaWitness:
 def lemma_witness(profile, base, i, j):
     """Solve the four subproblems for (base, i, j) and record every relation.
 
+    The channels of base + i + j are ranked by noise once, by a stable sort
+    that keeps tied noises in profile order as ``waterfill`` does. Each
+    subproblem drops i, j, both or neither from that one list and makes one
+    ``_scan`` call through ``waterfill``'s own helper, so its level, rate
+    and active set are ``waterfill``'s on that subset bit for bit.
+
     Requires distinct i and j outside a nonempty base set, all channels in
     the profile, and a positive budget. The base set must hold a channel
     that can be funded (a finite noise): its water level is part of the
@@ -137,35 +143,36 @@ def lemma_witness(profile, base, i, j):
         raise ValueError("i and j must be distinct channels")
     if i in base or j in base:
         raise ValueError("i and j must lie outside the base set")
-    sol_ij = _solve(profile, profile._known(base | {i, j}))  # raises on unknown channel ids
-    sol = _solve(profile, profile._known(base))
-    if sol.water_level is None:
+    noise_by_id, budget = profile._noise_by_id, profile.budget
+    ranked = sorted(profile._known(base | {i, j}), key=noise_by_id.__getitem__)  # raises on unknown ids
+    lv_ij, _, act_ij, rate_ij = _fill(ranked, noise_by_id, budget)
+    lv, _, act, rate = _fill([c for c in ranked if c != i and c != j], noise_by_id, budget)
+    if lv is None:
         raise ValueError("empty base set, zero budget or never-funded base: "
                          "the base water level does not exist")
-    sol_i = _solve(profile, profile._known(base | {i}))
-    sol_j = _solve(profile, profile._known(base | {j}))
+    sol_i = _fill([c for c in ranked if c != j], noise_by_id, budget)
+    sol_j = _fill([c for c in ranked if c != i], noise_by_id, budget)
+    (lv_i, _, act_i, rate_i), (lv_j, _, act_j, rate_j) = sol_i, sol_j
 
     monotone = (
-        _leq(sol.rate, sol_i.rate)
-        and _leq(sol_i.rate, sol_ij.rate)
-        and _leq(sol.rate, sol_j.rate)
-        and _leq(sol_j.rate, sol_ij.rate)
+        _leq(rate, rate_i)
+        and _leq(rate_i, rate_ij)
+        and _leq(rate, rate_j)
+        and _leq(rate_j, rate_ij)
     )
-    submod = _leq(sol.rate + sol_ij.rate, sol_i.rate + sol_j.rate)
+    submod = _leq(rate + rate_ij, rate_i + rate_j)
 
     swapped = False
-    if i not in sol_ij.active_set:
-        case, extra = EASY_I_INACTIVE, {"easy_rates_equal": sol_ij.rate == sol_j.rate}
-    elif j not in sol_ij.active_set:
-        case, extra = EASY_J_INACTIVE, {"easy_rates_equal": sol_ij.rate == sol_i.rate}
+    if i not in act_ij:
+        case, extra = EASY_I_INACTIVE, {"easy_rates_equal": rate_ij == rate_j}
+    elif j not in act_ij:
+        case, extra = EASY_J_INACTIVE, {"easy_rates_equal": rate_ij == rate_i}
     else:
-        swapped = sol_i.water_level > sol_j.water_level
+        swapped = lv_i > lv_j
         if swapped:
             i, j = j, i
-            sol_i, sol_j = sol_j, sol_i
-        noise = profile.noise_of
-        actives = act, act_i, act_j, act_ij = (sol.active_set, sol_i.active_set,
-                                               sol_j.active_set, sol_ij.active_set)
+            (lv_i, _, act_i, rate_i), (lv_j, _, act_j, rate_j) = sol_j, sol_i
+        noise = noise_by_id.__getitem__
         others_ij = act_ij - {i, j}
         others_i = act_i - {i}
         others_j = act_j - {j}
@@ -178,15 +185,14 @@ def lemma_witness(profile, base, i, j):
             and others_j <= act
         )
 
-        levels = lv, lv_i, lv_j, lv_ij = (sol.water_level, sol_i.water_level,
-                                          sol_j.water_level, sol_ij.water_level)
         ordering = (
             _leq(lv_ij, lv_i) and _leq(lv_i, lv_j) and _leq(lv_j, lv)
             and all(_leq(lv_ij, noise(c)) and _leq(noise(c), lv_i) for c in displaced_i)
             and all(_leq(lv_j, noise(c)) and _leq(noise(c), lv) for c in displaced)
         )
 
-        a, b = _vectors(noise, levels, actives, displaced_i, displaced)
+        a, b = _vectors(noise, (lv, lv_i, lv_j, lv_ij), (act, act_i, act_j, act_ij),
+                        displaced_i, displaced)
         count_ok = len(a) == len(b)  # a theorem; karamata_holds raises on unequal lengths
         case, extra = MAIN_CASE, dict(
             others_ij=others_ij, others_i=others_i, others_j=others_j,
@@ -197,11 +203,9 @@ def lemma_witness(profile, base, i, j):
         )
     return LemmaWitness(
         profile=profile, base=base, elem_i=i, elem_j=j, swapped=swapped, case=case,
-        level=sol.water_level, level_i=sol_i.water_level,
-        level_j=sol_j.water_level, level_ij=sol_ij.water_level,
-        rate=sol.rate, rate_i=sol_i.rate, rate_j=sol_j.rate, rate_ij=sol_ij.rate,
-        active=sol.active_set, active_i=sol_i.active_set,
-        active_j=sol_j.active_set, active_ij=sol_ij.active_set,
+        level=lv, level_i=lv_i, level_j=lv_j, level_ij=lv_ij,
+        rate=rate, rate_i=rate_i, rate_j=rate_j, rate_ij=rate_ij,
+        active=act, active_i=act_i, active_j=act_j, active_ij=act_ij,
         monotone_chain_holds=monotone, submodular_holds=submod, **extra,
     )
 

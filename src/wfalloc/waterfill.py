@@ -273,21 +273,28 @@ def water_level(profile):
 
 
 def waterfill(profile):
-    """Solve one profile: water level, per-channel powers, active set, rate."""
-    return _solve(profile, profile.ids)
+    """Solve one profile: water level, per-channel powers, active set, rate.
+
+    The channels are ranked by noise with a stable sort, so tied noises
+    keep profile order, and ``powers`` lists them in profile order."""
+    noise_by_id = profile._noise_by_id
+    level, funded, active, rate = _fill(sorted(profile.ids, key=noise_by_id.__getitem__),
+                                        noise_by_id, profile.budget)
+    powers = dict.fromkeys(profile.ids, 0.0)
+    powers.update(funded)
+    return WaterfillSolution(level, powers, active, rate)
 
 
-def _solve(profile, ids):
-    """``waterfill`` of the profile's channels ``ids``, in its order, from
-    its validated noises: no sub-profile is built for them."""
-    noises = [profile._noise_by_id[c] for c in ids]
-    order = sorted(range(len(ids)), key=noises.__getitem__)
-    level, k, rate = _scan([noises[t] for t in order], profile.budget)
-    powers = {c: 0.0 for c in ids}
-    for t in order[:k]:
-        powers[ids[t]] = level - noises[t]
-    # a budget below the resolution of the quietest noise funds it with power 0
-    return WaterfillSolution(level, powers, frozenset(c for c, p in powers.items() if p > 0.0), rate)
+def _fill(ranked, noise_by_id, budget):
+    """``_scan`` of the channel ids ``ranked``, in ascending noise order:
+    (level, funded, active, rate), with ``funded`` the (id, power) pairs of
+    the channels it funds and ``active`` those of positive power. A budget
+    below the resolution of the quietest noise funds it with power 0, so
+    it is funded but not active."""
+    noises = [noise_by_id[c] for c in ranked]
+    level, k, rate = _scan(noises, budget)
+    funded = [(c, level - x) for c, x in zip(ranked[:k], noises)]
+    return level, funded, frozenset(c for c, p in funded if p > 0.0), rate
 
 
 def rate_of_subset(profile, channels):

@@ -8,6 +8,8 @@ import resource
 import sys
 import time
 import tracemalloc
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,7 +47,7 @@ from wfalloc.waterfill import (
     waterfill,
 )
 
-from oracles import greedy_by_hand, naive_best_allocation
+from oracles import exact_waterfill, greedy_by_hand, naive_best_allocation, precise_rate
 
 
 def random_matrix(rng, n=None, m=None, high=10.0):
@@ -351,6 +353,48 @@ def test_gain_bound_covers_every_computed_score(state):
     value = _scan(sorted(noises + [noise]), 1.0)[2]
     assert value - util <= half <= bound
     assert value <= util + half <= util + bound
+
+
+def decimal_of(q):
+    """A Fraction as a Decimal, rounded once in the current context."""
+    return Decimal(q.numerator) / Decimal(q.denominator)
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@example(([2.1497270091727056, 0.6825121678520782], 0.6825121678520782))
+@example(([], 3.0))
+@given(stations_and_arrivals())
+def test_gain_bound_facts_hold_for_the_precise_gain(state):
+    # the two facts online_greedy's bound rests on, against exact levels and
+    # 80-digit rates: at a unit-power station of noises N, the precise gain of
+    # a channel of SNR w is at most ln(1 + w), its gain at an empty station
+    # (submodularity), and at most h(L w), L the exact level of N (weak
+    # duality). The channel the library adds has noise x = fl(1/w), not 1/w,
+    # so the facts, theorems for any noise, are checked at its exact SNR
+    # 1/x; and 1/x is within 2^-51 of w in log (2^-53 unless x is subnormal),
+    # which moves ln(1 + w) and h(L w) by no more, as h changes at most as
+    # fast as ln r: an eighth of the margin's least value 4 2^-50
+    snrs, w = state
+    noises = station_state(snrs)[0]
+    x = 1.0 / w if w else math.inf
+    if x == math.inf:
+        return  # never bounded: scored exactly 0 without a solve
+    level = exact_waterfill(noises, 1.0)[0]
+    util, joined = precise_rate(noises, 1.0), precise_rate(noises + [x], 1.0)
+    with localcontext() as ctx:
+        ctx.prec = 80
+        assert abs(decimal_of(Fraction(w) * Fraction(x)).ln()) <= Decimal(2) ** -51
+        gain = joined - util
+        # the oracle's own 80-digit rounding, 10^55 times below the margin's 2^-48
+        tolerance = Decimal("1e-70") * (1 + joined)
+        ln1p = decimal_of(1 + 1 / Fraction(x)).ln()
+        assert gain <= ln1p + tolerance
+        if level is None:  # an empty station's gain is its bound: h(inf) = inf
+            assert abs(gain - ln1p) <= tolerance
+            return
+        r = level / Fraction(x)
+        h = decimal_of(r).ln() - 1 + decimal_of(1 / r) if r > 1 else Decimal(0)
+        assert gain <= h + tolerance
 
 
 def planted_near_tie_matrices():

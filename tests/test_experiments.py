@@ -1,9 +1,12 @@
 import contextlib
 import io
 import math
+import statistics
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wfalloc import allocation, cli, experiments
 from wfalloc.allocation import STRATEGIES, InstanceTooLargeError, competitive_ratio, run_strategy
@@ -155,6 +158,17 @@ def test_summarize_single_and_pair():
     assert rows[0].mean_ratio == pytest.approx((1.5 + 1.25) / 2)
     assert rows[0].max_ratio == 1.5
     assert rows[0].mean_utility == pytest.approx(3.0)
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(st.lists(st.tuples(st.floats(0.0, 1e300), st.floats(1.0, 1e300)), min_size=1, max_size=12))
+def test_summarize_means_are_fmean_bit_for_bit(pairs):
+    # summarize leaves statistics unimported, yet its means are fmean's
+    records = [ExperimentRecord(t, 4, 2, "iid-unit", "greedy", u, 1.0, "analytic_upper_bound", r, 0)
+               for t, (u, r) in enumerate(pairs)]
+    row, = summarize(records)
+    assert row.mean_ratio.hex() == statistics.fmean(r for _, r in pairs).hex()
+    assert row.mean_utility.hex() == statistics.fmean(u for u, _ in pairs).hex()
 
 
 def test_summarize_orders_groups_and_rejects_empty():

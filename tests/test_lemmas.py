@@ -199,19 +199,43 @@ def test_witness_rates_agree_with_direct_solves():
         assert wit.rate_ij == both
 
 
-@settings(derandomize=True, database=None, max_examples=200)
-@given(st.data())
-def test_witness_solves_are_waterfill_on_each_sub_profile(data):
-    p = data.draw(labelled_profiles().filter(lambda p: len(p) >= 3 and p.budget > 0.0))
-    ids = data.draw(st.permutations(p.ids))
-    nb = data.draw(st.integers(1, len(ids) - 2))
-    base, i, j = frozenset(ids[:nb]), ids[nb], ids[nb + 1]
+@st.composite
+def witness_draws(draw):
+    """A profile of 3-7 channels and a (base, i, j) draw on it, in a random
+    order. Noises are float edges, ties (within one or two drawn values and
+    1, 2, 3) and infinite ones, channels never funded, which
+    ``labelled_profiles`` does not draw; budgets are positive, tiny included."""
+    finite = st.one_of(st.sampled_from(EDGE_NOISES), st.floats(5e-324, 1.7e308))
+    tied = draw(st.lists(finite, min_size=1, max_size=2))
+    noise = st.one_of(finite, st.sampled_from(tied), st.sampled_from((1.0, 2.0, 3.0)), st.just(math.inf))
+    noises = draw(st.lists(noise, min_size=3, max_size=7))
+    budget = draw(st.sampled_from((1e-300, 0.011, 1.0, 2.5)))
+    assume(budget + max((x for x in noises if x < math.inf), default=0.0) < math.inf)
+    ids = draw(st.permutations([f"c{k}" for k in range(len(noises))]))
+    p = NoiseProfile(noises, budget, ids)
+    order = draw(st.permutations(p.ids))
+    nb = draw(st.integers(1, len(order) - 2))
+    return p, frozenset(order[:nb]), order[nb], order[nb + 1]
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(witness_draws())
+# the base level comes from _scan's fallback: its one channel is funded with power 0
+@example((NoiseProfile((2.373943989755086e+18, 5.211566613835284e-10, 6.044331397888978e-23),
+                       0.014715382777607188), frozenset({0}), 2, 1))
+@example((NoiseProfile([1.0, 1.0, math.inf, 1.0], 1.0, "dcba"), frozenset({"a"}), "b", "c"))
+def test_witness_solves_are_waterfill_on_each_sub_profile(draw):
+    p, base, i, j = draw
+    if waterfill(p.subset(base)).water_level is None:  # only never-funded base channels
+        with pytest.raises(ValueError, match="the base water level does not exist"):
+            lemma_witness(p, base, i, j)
+        return
     w = lemma_witness(p, base, i, j)
     i, j = (j, i) if w.swapped else (i, j)
     for suffix, channels in (("", base), ("_i", base | {i}), ("_j", base | {j}), ("_ij", base | {i, j})):
         sol = waterfill(p.subset(channels))
-        assert (getattr(w, "level" + suffix), getattr(w, "rate" + suffix), getattr(w, "active" + suffix)) \
-            == (sol.water_level, sol.rate, sol.active_set)
+        assert (getattr(w, "level" + suffix).hex(), getattr(w, "rate" + suffix).hex(),
+                getattr(w, "active" + suffix)) == (sol.water_level.hex(), sol.rate.hex(), sol.active_set)
 
 
 def test_witness_reports_unknown_channels_like_subset():
@@ -305,6 +329,14 @@ def count_calls(monkeypatch, targets):
             return _fn(*args)
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def test_witness_ranks_its_channels_once_and_scans_each_subproblem_once(monkeypatch):
+    # one ranked list serves the four subproblems: one _scan each, no sub-profile
+    calls = count_calls(monkeypatch, ((NoiseProfile, "_known"), (NoiseProfile, "subset"),
+                                      (sys.modules["wfalloc.waterfill"], "_scan")))
+    assert lemma_witness(fixture_profile(), {0, 1}, 2, 3).case == MAIN_CASE
+    assert calls == {"_known": 1, "subset": 0, "_scan": 4}
 
 
 def test_checking_a_rate_oracle_takes_one_table_call(monkeypatch):

@@ -1,5 +1,8 @@
 import importlib
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import wfalloc
 
@@ -32,3 +35,18 @@ def test_pair_index_has_one_definition_in_submodular():
     allocation, submodular = sys.modules["wfalloc.allocation"], sys.modules["wfalloc.submodular"]
     assert allocation._pair_index is submodular._pair_index
     assert submodular._pair_index.__module__ == "wfalloc.submodular"
+
+
+def test_importing_the_cli_after_numpy_adds_no_statistics_fractions_or_decimal():
+    # every CLI and benchmark set-up process pays for what wfalloc.cli imports
+    # above numpy; statistics alone pulls in fractions and decimal
+    src = str(Path(wfalloc.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "import wfalloc.cli\n"
+            "heavy = {'statistics', 'fractions', 'decimal'} & (set(sys.modules) - before)\n"
+            "assert not heavy, sorted(heavy)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
