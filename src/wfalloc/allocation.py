@@ -1,4 +1,4 @@
-"""Online greedy basestation allocation, baselines, and competitive ratios.
+"""Online greedy basestation allocation, baselines, and offline references.
 
 Users arrive one at a time, reveal their SNR toward each basestation, and
 must be assigned immediately and irrevocably. Each basestation then splits
@@ -6,6 +6,7 @@ unit transmit power across its users by waterfilling, so per-station value
 is the log utility of the assigned SNRs and system utility is the sum over
 stations. Offline references come either from the exact optimum (a DP over
 user subsets, desk scale only) or from an analytic upper bound.
+``experiments`` runs them by name and computes the competitive ratios.
 """
 
 import math
@@ -26,7 +27,6 @@ __all__ = [
     "InstanceTooLargeError",
     "WeightMatrix",
     "Allocation",
-    "RatioReport",
     "online_greedy",
     "max_weight",
     "system_utility",
@@ -34,25 +34,13 @@ __all__ = [
     "offline_bruteforce",
     "offline_upper_bound",
     "run_strategy",
-    "ratio_value",
     "reference_value",
-    "competitive_ratio",
 ]
 
 BRUTE_FORCE_CAP = 10**6
 GREEDY_MODES = ("marginal_gain", "absolute_value")
 STRATEGIES = ("greedy", "greedy-absolute", "max-weight")
 REFERENCE_KINDS = ("brute_force_optimum", "analytic_upper_bound")
-
-
-def _check_names(strategies, reference_kind):
-    """Raise ValueError on the first unknown strategy, then on an unknown
-    reference kind, before any strategy or reference runs."""
-    for s in strategies:
-        if s not in STRATEGIES:
-            raise ValueError(f"unknown strategy {s!r}; expected one of {STRATEGIES}")
-    if reference_kind not in REFERENCE_KINDS:
-        raise ValueError(f"unknown reference kind {reference_kind!r}; expected one of {REFERENCE_KINDS}")
 
 
 class InstanceTooLargeError(ValueError):
@@ -98,7 +86,7 @@ class Allocation:
     """A partition of the arrived users into per-basestation sets.
 
     Online greedy also carries its own sum of the station utilities, which
-    ``_utility_of`` reports in place of a ``system_utility`` recomputation.
+    ``experiments`` reports in place of a ``system_utility`` recomputation.
     It takes no part in equality, hashing or ``repr``.
     """
 
@@ -120,16 +108,6 @@ class Allocation:
     @property
     def user_ids(self):
         return frozenset().union(*self.parts) if self.parts else frozenset()
-
-
-@dataclass(frozen=True)
-class RatioReport:
-    """Utility of one online run against an offline reference."""
-
-    online_utility: float
-    offline_reference: float
-    reference_kind: str
-    ratio: float
 
 
 def online_greedy(W, mode="marginal_gain"):
@@ -360,14 +338,6 @@ def system_utility(alloc, W):
     return total
 
 
-def _utility_of(alloc, W):
-    """The utility a strategy carried in ``alloc`` (online greedy's own
-    sum), else the ``system_utility`` recomputation."""
-    if alloc._utility is None:
-        return system_utility(alloc, W)
-    return alloc._utility
-
-
 def check_bruteforce_size(n, m):
     """Raise InstanceTooLargeError when m^n assignments exceed the cap."""
     # m >= 2 with n above the cap's bit length gives m^n >= 2^n > cap: no power is built
@@ -481,15 +451,6 @@ def run_strategy(strategy, W):
     raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
 
 
-def ratio_value(reference, utility):
-    """Offline reference over online utility; 0/0 counts as 1, positive/0 as +inf."""
-    if utility > 0.0:
-        return reference / utility
-    if reference > 0.0:
-        return math.inf
-    return 1.0
-
-
 def reference_value(W, reference_kind):
     """The offline reference of the named kind for ``W``."""
     if reference_kind == "brute_force_optimum":
@@ -497,16 +458,3 @@ def reference_value(W, reference_kind):
     if reference_kind == "analytic_upper_bound":
         return offline_upper_bound(W)
     raise ValueError(f"unknown reference kind {reference_kind!r}; expected one of {REFERENCE_KINDS}")
-
-
-def competitive_ratio(W, strategy, reference_kind="brute_force_optimum"):
-    """Offline reference divided by the strategy's online utility."""
-    _check_names((strategy,), reference_kind)
-    reference = reference_value(W, reference_kind)
-    utility = _utility_of(run_strategy(strategy, W), W)
-    return RatioReport(
-        online_utility=utility,
-        offline_reference=reference,
-        reference_kind=reference_kind,
-        ratio=ratio_value(reference, utility),
-    )

@@ -1,9 +1,10 @@
-"""Batch competitive-ratio experiments and their CSV record format.
+"""Competitive ratios, batch experiments and their CSV record format.
 
-Trials are paired: every requested strategy runs on the identical matrix,
-drawn from a per-trial seed derived as ``seed XOR trial``, so strategy
-comparisons are low-variance and the whole run is reproducible byte for
-byte.
+``_evaluate`` is the one evaluation loop, behind ``competitive_ratio``,
+``evaluate_strategies`` and the CLI's ``simulate``. Trials are paired:
+every requested strategy runs on the identical matrix, drawn from a
+per-trial seed derived as ``seed XOR trial``, so strategy comparisons are
+low-variance and the whole run is reproducible byte for byte.
 """
 
 import math
@@ -11,20 +12,23 @@ import numbers
 from dataclasses import dataclass
 
 from .allocation import (
-    _check_names,
-    _utility_of,
+    REFERENCE_KINDS,
+    STRATEGIES,
     check_bruteforce_size,
-    ratio_value,
     reference_value,
     run_strategy,
+    system_utility,
 )
 from .profiles import ProfileSpec, generate
 from .waterfill import _sink
 
 __all__ = [
     "RECORD_HEADER",
+    "RatioReport",
     "ExperimentRecord",
     "SummaryRow",
+    "ratio_value",
+    "competitive_ratio",
     "evaluate_strategies",
     "run_experiment",
     "summarize",
@@ -33,6 +37,16 @@ __all__ = [
 ]
 
 RECORD_HEADER = "trial,n,m,profile,strategy,utility,offline_bound,reference_kind,ratio,seed"
+
+
+@dataclass(frozen=True)
+class RatioReport:
+    """Utility of one online run against an offline reference."""
+
+    online_utility: float
+    offline_reference: float
+    reference_kind: str
+    ratio: float
 
 
 @dataclass(frozen=True)
@@ -64,18 +78,46 @@ class SummaryRow:
     mean_utility: float
 
 
+def _check_names(strategies, reference_kind):
+    """Raise ValueError on the first unknown strategy, then on an unknown
+    reference kind, before any strategy or reference runs."""
+    for s in strategies:
+        if s not in STRATEGIES:
+            raise ValueError(f"unknown strategy {s!r}; expected one of {STRATEGIES}")
+    if reference_kind not in REFERENCE_KINDS:
+        raise ValueError(f"unknown reference kind {reference_kind!r}; expected one of {REFERENCE_KINDS}")
+
+
+def ratio_value(reference, utility):
+    """Offline reference over online utility; 0/0 counts as 1, positive/0 as +inf."""
+    if utility > 0.0:
+        return reference / utility
+    if reference > 0.0:
+        return math.inf
+    return 1.0
+
+
 def _evaluate(W, strategies, reference_kind):
     """The one evaluation loop: ``W``'s reference value, computed once, and
     per strategy in order its (strategy, allocation, utility, ratio). Each
-    strategy runs through this module's ``run_strategy``."""
+    strategy runs through this module's ``run_strategy``; its utility is
+    the one its allocation carries (online greedy's own sum), else the
+    ``system_utility`` recomputation."""
     _check_names(strategies, reference_kind)
     reference = reference_value(W, reference_kind)
     outcomes = []
     for strategy in strategies:
         alloc = run_strategy(strategy, W)
-        utility = _utility_of(alloc, W)
+        utility = system_utility(alloc, W) if alloc._utility is None else alloc._utility
         outcomes.append((strategy, alloc, utility, ratio_value(reference, utility)))
     return reference, outcomes
+
+
+def competitive_ratio(W, strategy, reference_kind="brute_force_optimum"):
+    """Offline reference divided by the strategy's online utility."""
+    reference, [(_, _, utility, ratio)] = _evaluate(W, (strategy,), reference_kind)
+    return RatioReport(online_utility=utility, offline_reference=reference,
+                       reference_kind=reference_kind, ratio=ratio)
 
 
 def evaluate_strategies(W, strategies, reference_kind, *, trial, profile_name, seed):

@@ -84,7 +84,7 @@ class NoiseProfile:
     def _known(self, channels):
         """``channels`` in the profile's order; unknown ids raise ValueError."""
         keep = frozenset(channels)
-        unknown = keep - set(self.ids)
+        unknown = keep.difference(self._noise_by_id)
         if unknown:
             raise ValueError(f"unknown channel ids: {sorted(unknown, key=repr)}")
         return tuple(c for c in self.ids if c in keep)

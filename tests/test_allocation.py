@@ -16,25 +16,24 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wfalloc import allocation
+from wfalloc import allocation, experiments
 from wfalloc.allocation import (
     GREEDY_MODES,
+    REFERENCE_KINDS,
+    STRATEGIES,
     Allocation,
     InstanceTooLargeError,
-    RatioReport,
     WeightMatrix,
-    _utility_of,
     check_bruteforce_size,
-    competitive_ratio,
     max_weight,
     offline_bruteforce,
     offline_upper_bound,
     online_greedy,
-    ratio_value,
     reference_value,
     run_strategy,
     system_utility,
 )
+from wfalloc.experiments import RatioReport, competitive_ratio, evaluate_strategies, ratio_value
 from wfalloc.profiles import PROFILE_KINDS, ProfileSpec, generate
 from wfalloc.submodular import SetFunctionOracle, check_monotone, check_submodular_pairwise
 from wfalloc.waterfill import (
@@ -696,14 +695,20 @@ def test_system_utility_of_mostly_empty_stations():
         assert system_utility(alloc, W).hex() == utility_by_columns(alloc, W).hex()
 
 
-def test_system_utility_ignores_a_carried_utility():
+def test_system_utility_ignores_a_carried_utility(monkeypatch):
     W = generate(ProfileSpec("correlated", 20, 4, 3))
     alloc = online_greedy(W)
     wrong = Allocation(alloc.parts, alloc._utility + 1.0)
     assert wrong == alloc and hash(wrong) == hash(alloc) and repr(wrong) == repr(alloc)
-    assert _utility_of(wrong, W) == alloc._utility + 1.0
+
+    def evaluated_utility(returned):
+        # the evaluation loop values whatever allocation the strategy hands back
+        monkeypatch.setattr(experiments, "run_strategy", lambda strategy, W: returned)
+        return experiments._evaluate(W, ("greedy",), "analytic_upper_bound")[1][0][2]
+
+    assert evaluated_utility(wrong) == alloc._utility + 1.0
     assert system_utility(wrong, W) == alloc._utility
-    assert _utility_of(Allocation(alloc.parts), W) == alloc._utility
+    assert evaluated_utility(Allocation(alloc.parts)) == alloc._utility
 
 
 def test_system_utility_partition_errors():
@@ -1034,6 +1039,34 @@ def test_greedy_utility_with_overflowing_noise_sum_stays_below_the_bound():
     assert 0.0 <= utility <= offline_upper_bound(W)
 
 
+@settings(derandomize=True, database=None, max_examples=100)
+@given(float_edge_matrices())
+@example(WeightMatrix([[1e-310, 0.0], [1e-310, 1e-310]]))  # ratio inf against the analytic bound
+@example(WeightMatrix(np.zeros((0, 3))))
+def test_competitive_ratio_is_the_evaluate_strategies_record(W):
+    # one evaluation loop: the single-strategy report and the batch record agree bit for bit
+    for kind in REFERENCE_KINDS:
+        records = evaluate_strategies(W, STRATEGIES, kind, trial=0, profile_name="edge", seed=0)
+        for strategy, record in zip(STRATEGIES, records):
+            report = competitive_ratio(W, strategy, kind)
+            assert report.reference_kind == record.reference_kind == kind
+            assert (report.online_utility.hex(), report.offline_reference.hex(), report.ratio.hex()) == (
+                record.utility.hex(), record.offline_bound.hex(), record.ratio.hex())
+
+
+def test_competitive_ratio_runs_the_evaluation_loop_once(monkeypatch):
+    calls, original = [], experiments._evaluate
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(experiments, "_evaluate", counted)
+    W = WeightMatrix([[4.0, 1.0], [2.0, 9.0]])
+    competitive_ratio(W, "max-weight", "brute_force_optimum")
+    assert calls == [(W, ("max-weight",), "brute_force_optimum")]
+
+
 def test_ratio_value_conventions():
     assert ratio_value(0.0, 0.0) == 1.0
     assert ratio_value(3.0, 0.0) == math.inf
@@ -1089,7 +1122,7 @@ def test_unknown_strategy_and_reference(monkeypatch):
         raise AssertionError("the reference was computed before the names were checked")
 
     # names are checked before the reference, which may be a long brute force
-    monkeypatch.setattr(allocation, "reference_value", no_reference)
+    monkeypatch.setattr(experiments, "reference_value", no_reference)
     with pytest.raises(ValueError, match="unknown strategy 'bogus'"):
         competitive_ratio(W, "bogus")
 

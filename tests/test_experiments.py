@@ -9,10 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wfalloc import allocation, cli, experiments
-from wfalloc.allocation import STRATEGIES, InstanceTooLargeError, competitive_ratio, run_strategy
+from wfalloc.allocation import STRATEGIES, InstanceTooLargeError, run_strategy
 from wfalloc.experiments import (
     RECORD_HEADER,
     ExperimentRecord,
+    competitive_ratio,
     evaluate_strategies,
     format_records_csv,
     run_experiment,

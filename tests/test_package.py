@@ -1,4 +1,6 @@
 import importlib
+import inspect
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +9,7 @@ from pathlib import Path
 import wfalloc
 
 MODULES = ("waterfill", "submodular", "lemmas", "allocation", "profiles", "experiments")
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_package_exports_exactly_the_module_names():
@@ -17,6 +20,27 @@ def test_package_exports_exactly_the_module_names():
         module = sys.modules[f"wfalloc.{mod}"]
         for name in module.__all__:
             assert getattr(wfalloc, name) is getattr(module, name)
+
+
+def test_each_exported_function_and_class_is_defined_in_its_module():
+    # a name moved to another module leaves no re-export behind in the old one
+    for mod in MODULES:
+        module = sys.modules[f"wfalloc.{mod}"]
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isfunction(obj) or inspect.isclass(obj):
+                assert obj.__module__ == module.__name__, (mod, name)
+
+
+def test_readme_library_block_runs_and_its_comments_hold():
+    block = README.read_text(encoding="utf-8").split("## Library at a glance\n", 1)[1]
+    block = block.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, str(README), "exec"), namespace)
+    profile, sol, rate_of_subset = namespace["profile"], namespace["sol"], namespace["rate_of_subset"]
+    assert sol.water_level == 3.0 and sol.powers == {0: 2.0, 1: 1.0}
+    assert rate_of_subset(profile, {0}) == math.log(4.0)
+    assert namespace["check_submodular_pairwise"](namespace["oracle"]) == []
 
 
 def test_package_waterfill_is_the_solver():
