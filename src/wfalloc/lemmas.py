@@ -127,10 +127,11 @@ def lemma_witness(profile, base, i, j):
     """Solve the four subproblems for (base, i, j) and record every relation.
 
     The channels of base + i + j are ranked by noise once, by a stable sort
-    that keeps tied noises in profile order as ``waterfill`` does. Each
-    subproblem drops i, j, both or neither from that one list and makes one
-    ``_scan`` call through ``waterfill``'s own helper, so its level, rate
-    and active set are ``waterfill``'s on that subset bit for bit.
+    that keeps tied noises in profile order as ``waterfill`` does, and
+    their noises are read once. Each subproblem drops the ranked positions
+    of i, j, both or neither from those two lists and makes one ``_scan``
+    call through ``waterfill``'s own helper, so its level, rate and active
+    set are ``waterfill``'s on that subset bit for bit.
 
     Requires distinct i and j outside a nonempty base set, all channels in
     the profile, and a positive budget. The base set must hold a channel
@@ -145,13 +146,21 @@ def lemma_witness(profile, base, i, j):
         raise ValueError("i and j must lie outside the base set")
     noise_by_id, budget = profile._noise_by_id, profile.budget
     ranked = sorted(profile._known(base | {i, j}), key=noise_by_id.__getitem__)  # raises on unknown ids
-    lv_ij, _, act_ij, rate_ij = _fill(ranked, noise_by_id, budget)
-    lv, _, act, rate = _fill([c for c in ranked if c != i and c != j], noise_by_id, budget)
+    noises = [noise_by_id[c] for c in ranked]
+    at_i, at_j = ranked.index(i), ranked.index(j)
+
+    def fill_without(*at):  # the subproblem without the ranked positions ``at``, latest first
+        ids, xs = ranked, noises
+        for p in at:
+            ids, xs = ids[:p] + ids[p + 1:], xs[:p] + xs[p + 1:]
+        return _fill(ids, xs, budget)
+
+    lv_ij, _, act_ij, rate_ij = _fill(ranked, noises, budget)
+    lv, _, act, rate = fill_without(max(at_i, at_j), min(at_i, at_j))
     if lv is None:
         raise ValueError("empty base set, zero budget or never-funded base: "
                          "the base water level does not exist")
-    sol_i = _fill([c for c in ranked if c != j], noise_by_id, budget)
-    sol_j = _fill([c for c in ranked if c != i], noise_by_id, budget)
+    sol_i, sol_j = fill_without(at_j), fill_without(at_i)
     (lv_i, _, act_i, rate_i), (lv_j, _, act_j, rate_j) = sol_i, sol_j
 
     monotone = (

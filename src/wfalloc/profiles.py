@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .allocation import WeightMatrix
-from .waterfill import _check_snrs, _sink
+from .waterfill import _sink
 
 __all__ = [
     "PROFILE_KINDS",
@@ -143,7 +143,10 @@ def replay_from_csv(path) -> WeightMatrix:
 
     The header must be ``user,bs_1,...,bs_m``; every data row needs a user
     cell holding its 0-based row index, as ``write_weights_csv`` writes it,
-    plus m numeric SNRs. Errors name the offending line.
+    plus m numeric SNRs. Errors name the offending line: the rows are read
+    first, and ``WeightMatrix`` then checks every SNR once, so a bad SNR is
+    reported after any malformed row, at the line of the first bad SNR in
+    row-major order.
     """
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -153,7 +156,7 @@ def replay_from_csv(path) -> WeightMatrix:
         m = len(header) - 1
         if m < 1 or header != _csv_header(m):
             raise ValueError(f"{path}: line 1: expected header user,bs_1,...,bs_m")
-        rows = []
+        rows, linenos = [], []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -162,13 +165,13 @@ def replay_from_csv(path) -> WeightMatrix:
             if row[0] != str(len(rows)):
                 raise ValueError(f"{path}: line {lineno}: user cell must be {len(rows)}, got {row[0]!r}")
             try:
-                values = [float(cell) for cell in row[1:]]
+                rows.append([float(cell) for cell in row[1:]])
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: non-numeric SNR cell") from None
-            try:
-                rows.append(_check_snrs(values))
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from None
+            linenos.append(lineno)
     if not rows:
         raise ValueError(f"{path}: no users")
-    return WeightMatrix(np.array(rows))
+    try:
+        return WeightMatrix(rows)  # the one SNR check, once per SNR
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {linenos[exc.flat_index // m]}: {exc}") from None

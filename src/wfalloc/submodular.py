@@ -8,6 +8,7 @@ than a sampled verdict. Oversized ground sets are rejected, never sampled.
 
 import csv
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import accumulate
@@ -35,6 +36,7 @@ __all__ = [
 PAIRWISE_CAP = 12  # ground-set cap of the pairwise check
 MONOTONE_SETPAIR_CAP = 8  # ground-set cap of the checks that compare pairs of subsets
 _SLICE = 1 << 10  # pairwise violations decoded per slice
+_VALUE_BOUND = sys.float_info.max / 2  # largest oracle magnitude: two of them sum to a finite float
 
 
 class GroundSetTooLargeError(ValueError):
@@ -69,18 +71,22 @@ class SetFunctionOracle:
     @cached_property
     def _values(self):
         """Every subset's value by bitmask, read-only float64. A non-finite
-        value raises ValueError, and is not cached: a NaN fails every
-        comparison, so a check would certify vacuously."""
+        value, or one of magnitude above ``_VALUE_BOUND``, raises ValueError
+        and is not cached: a NaN fails every comparison, and so does the NaN
+        gap inf - inf of two sums that overflow, so a check would certify
+        vacuously. Below the bound no sum of two values overflows."""
         if self.table is None:
             values = np.array([float(self.evaluate(s)) for s in self._subsets])
         else:
             values = np.array(self.table(sorted(self.ground_set)), dtype=np.float64)
             if values.shape != (1 << len(self.ground_set),):
                 raise ValueError(f"table must hold one value per subset, got shape {values.shape}")
-        bad = np.flatnonzero(~np.isfinite(values))
+        bad = np.flatnonzero(~(np.abs(values) <= _VALUE_BOUND))  # true for NaN too
         if len(bad):
             mask = int(bad[0])
-            raise ValueError(f"oracle value at {sorted(self._subsets[mask])} is not finite: {values[mask]}")
+            value = values[mask]
+            fault = "is above sys.float_info.max / 2 in magnitude" if np.isfinite(value) else "is not finite"
+            raise ValueError(f"oracle value at {sorted(self._subsets[mask])} {fault}: {value}")
         values.setflags(write=False)
         return values
 
@@ -120,39 +126,19 @@ def _subset_table(oracle, tolerance, cap, check):
     return elems, oracle._values
 
 
-def _blocked(rows):
-    """Index rows as read-only int32 blocks of at most ``_BLOCK`` columns, so
-    no temporary a check makes per block grows with the ground set."""
-    rows = np.array(rows, np.int32)
-    rows.setflags(write=False)
-    return tuple(np.split(rows, range(_BLOCK, rows.shape[1], _BLOCK), axis=1))
-
-
-def _gap_hits(f, blocks, tolerance):
-    """Per block, the columns whose gap (f[a] + f[b]) - (f[c] + f[d]) exceeds
-    ``tolerance``, a, b, c, d being the block's first four index rows: yields
-    the block's rows, rhs f[a] + f[b], lhs f[c] + f[d] and gap at them."""
-    for block in blocks:
-        a, b, c, d = block[:4]
-        with np.errstate(over="ignore", invalid="ignore"):
-            rhs = f.take(a) + f.take(b)
-            lhs = f.take(c) + f.take(d)
-            gap = rhs - lhs
-        hit = np.flatnonzero(gap > tolerance)
-        if len(hit):
-            yield block[:, hit], rhs[hit], lhs[hit], gap[hit]
-        del rhs, lhs, gap  # else they stay alive beside the next block's
-
-
 @cache
 def _pairwise_blocks(u):
     """Every triple (S, i, j) of u elements, i < j outside S, by S in counting
-    order, then i, then j: rows S, S+i+j, S+i, S+j, i and j, ``_blocked``."""
+    order, then i, then j: rows S, S+i+j, S+i, S+j, i and j, as read-only
+    int32 blocks of at most ``_BLOCK`` columns, so no temporary a check makes
+    per block grows with the ground set."""
     i, j = np.array(np.triu_indices(u, 1), np.int32)
     masks = np.arange(1 << u, dtype=np.int32)
     base, pair = np.array(np.nonzero(masks[:, None] & (1 << i | 1 << j) == 0), np.int32)
     with_i, with_j = base | 1 << i[pair], base | 1 << j[pair]
-    return _blocked([base, with_i | with_j, with_i, with_j, i[pair], j[pair]])
+    rows = np.array([base, with_i | with_j, with_i, with_j, i[pair], j[pair]], np.int32)
+    rows.setflags(write=False)
+    return tuple(np.split(rows, range(_BLOCK, rows.shape[1], _BLOCK), axis=1))
 
 
 def check_submodular_pairwise(oracle, tolerance=1e-9):
@@ -166,22 +152,52 @@ def check_submodular_pairwise(oracle, tolerance=1e-9):
     """
     elems, f = _subset_table(oracle, tolerance, PAIRWISE_CAP, "pairwise")
     violations = []
-    for (base, *_, i, j), rhs, lhs, gap in _gap_hits(f, _pairwise_blocks(len(elems)), tolerance):
-        for at in range(0, len(base), _SLICE):
-            rows = zip(*(side[at:at + _SLICE].tolist() for side in (base, i, j, lhs, rhs, gap)))
-            violations += [SubmodularityViolation(oracle._subsets[mask], elems[a], elems[b], left, right, g)
-                           for mask, a, b, left, right, g in rows]
+    with np.errstate(over="ignore"):  # the sums are finite, a gap of +-inf is decided right
+        for base, with_ij, with_i, with_j, i, j in _pairwise_blocks(len(elems)):
+            rhs = f.take(base) + f.take(with_ij)
+            lhs = f.take(with_i) + f.take(with_j)
+            gap = rhs - lhs
+            hit = np.flatnonzero(gap > tolerance)
+            for at in range(0, len(hit), _SLICE):
+                rows = zip(*(side.take(hit[at:at + _SLICE]).tolist() for side in (base, i, j, lhs, rhs, gap)))
+                violations += [SubmodularityViolation(oracle._subsets[mask], elems[a], elems[b], left, right, g)
+                               for mask, a, b, left, right, g in rows]
+            del rhs, lhs, gap  # else they stay alive beside the next block's
     return violations
 
 
 @cache
-def _setpair_blocks(u):
-    """Every pair S < T of u-bit masks with S not a subset of T, by S, then T:
-    rows S&T, S|T, S and T, ``_blocked``."""
+def _setpair_plan(u):
+    """Every pair S < T of u-bit masks with S not a subset of T, by S, then T,
+    in blocks of whole S-runs of at most ``_BLOCK`` pairs. A block holds
+    four read-only int32 rows: its runs' S and their lengths, then per pair
+    N, the place of the nested pair (S&T, S|T) in ``_pair_index(u)``, and T.
+
+    A nested pair A within B is looked up by its base-3 key tern(A) +
+    tern(B), tern(X) summing 3^b over the bits b of X: digit b is 2 in A,
+    1 in B only and 0 outside B, so the 3^u keys are distinct.
+    """
+    rest, share = _pair_index(u)[:2]
+    tern = np.zeros(1 << u, np.int32)
+    for b in range(u):
+        np.add(tern[:1 << b], 3**b, out=tern[1 << b:2 << b])
+    place = np.empty(3**u, np.int32)
+    place[tern.take(share) + tern.take(rest | share)] = np.arange(3**u)
     s, t = np.array(np.triu_indices(1 << u, 1), np.int32)
     apart = s & t != s
     s, t = s[apart], t[apart]
-    return _blocked([s & t, s | t, s, t])
+    run_s, counts = np.unique(s, return_counts=True)
+    cuts, size = [], 0  # the first run of each block but the first
+    for run, count in enumerate(counts.tolist()):
+        if size + count > _BLOCK:
+            cuts.append(run)
+            size = 0
+        size += count
+    pair_cuts = np.cumsum(counts)[np.array(cuts, np.intp) - 1]
+    rows = (run_s, counts.astype(np.int32), place.take(tern.take(s & t) + tern.take(s | t)), t)
+    for row in rows:
+        row.setflags(write=False)
+    return tuple(zip(*(np.split(row, at) for row, at in zip(rows, (cuts, cuts, pair_cuts, pair_cuts)))))
 
 
 def check_setpair_submodular(oracle, tolerance=1e-9):
@@ -190,14 +206,28 @@ def check_setpair_submodular(oracle, tolerance=1e-9):
     The set-pair form of submodularity over at most ``MONOTONE_SETPAIR_CAP``
     elements; an empty list confirms it agrees with the pairwise form. Pairs
     are reported with S no later than T in counting order, by S, then T. The
-    gap is sum against sum, so a nested pair's is 0, or NaN if a sum
-    overflows: both sums add f(S), f(T). Nested pairs are never reported, so
-    only the others gather from the table, through index blocks cached per size.
+    gap is sum against sum, so a nested pair's is exactly 0: both sums add
+    f(S), f(T), and no sum of two oracle values overflows. Nested pairs are
+    never reported, so only the others are checked, from ``_setpair_plan``:
+    the sum f(S&T) + f(S|T) depends only on the nested pair (S&T, S|T), so
+    each of the 3^u nested pairs is summed once per call, in
+    ``_pair_index`` order, and each block gathers its pairs' sums from that.
     """
     elems, f = _subset_table(oracle, tolerance, MONOTONE_SETPAIR_CAP, "set-pair")
+    _, share, _, sizes = _pair_index(len(elems))
+    nested = f.take(share) + np.repeat(f, sizes)  # f(S&T) + f(S|T) by nested pair (S&T, S|T)
     violations = []
-    for (*_, s, t), *_ in _gap_hits(f, _setpair_blocks(len(elems)), tolerance):
-        violations += [(oracle._subsets[a], oracle._subsets[b]) for a, b in zip(s.tolist(), t.tolist())]
+    with np.errstate(over="ignore"):  # the sums are finite, a gap of +-inf is decided right
+        for run_s, counts, n, t in _setpair_plan(len(elems)):
+            lhs = np.repeat(f.take(run_s), counts)  # f(S) + f(T), summed in place
+            lhs += f.take(t)
+            gap = nested.take(n)  # rhs f(S&T) + f(S|T), less lhs in place
+            gap -= lhs
+            hit = np.flatnonzero(gap > tolerance)
+            if len(hit):
+                s = np.repeat(run_s, counts)[hit].tolist()
+                violations += [(oracle._subsets[a], oracle._subsets[b]) for a, b in zip(s, t[hit].tolist())]
+            del lhs, gap  # else they stay alive beside the next block's
     return violations
 
 
@@ -214,7 +244,8 @@ def _pair_index(n):
     with m^n <= 10^6), and ``check_monotone`` at n <= its cap of 8, so the
     cache holds at most the 3^12 = 531,441 pairs of n = 12, a few MB. The
     checkers' blocks are cached per size under their caps too: pairwise
-    67,584 triples at 12 (1.6 MB), set-pair 26,335 pairs at 8 (0.41 MB).
+    67,584 triples at 12 (1.6 MB), set-pair's plan 26,335 pairs at 8
+    (0.21 MB, two rows per pair), which reads this index's 6,561 pairs.
     """
     rest = share = np.zeros(1, np.int32)
     starts = np.zeros(1, np.intp)
@@ -255,8 +286,9 @@ def majorizes(a, b, tolerance=1e-9):
 
     Both vectors are sorted descending internally; the sums must agree
     within a relative tolerance and every descending prefix sum of ``a``
-    must dominate the matching prefix of ``b``. Length mismatch and a bad
-    tolerance (``_check_tolerance``) raise.
+    must dominate the matching prefix of ``b``. Length mismatch, a bad
+    tolerance (``_check_tolerance``) and a prefix sum that is not finite
+    (``_check_sums``) raise.
     """
     _check_tolerance(tolerance)
     a = sorted((float(x) for x in a), reverse=True)
@@ -267,6 +299,7 @@ def majorizes(a, b, tolerance=1e-9):
         return True
     pa = list(accumulate(a))
     pb = list(accumulate(b))
+    _check_sums(pa[-1], pb[-1])
     slack = tolerance * max(1.0, abs(pa[-1]), abs(pb[-1]))
     if abs(pa[-1] - pb[-1]) > slack:
         return False
@@ -278,14 +311,27 @@ def karamata_holds(a, b, g, tolerance=1e-9):
 
     Callers must have established majorizes(a, b) for the verdict to carry
     meaning; convexity of ``g`` is trusted, not verified here. Length
-    mismatch and a bad tolerance (``_check_tolerance``) raise.
+    mismatch, a bad tolerance (``_check_tolerance``) and a sum that is not
+    finite (``_check_sums``) raise.
     """
     _check_tolerance(tolerance)
     a = [float(x) for x in a]
     b = [float(x) for x in b]
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
-    return sum(g(x) for x in a) >= sum(g(x) for x in b) - tolerance
+    sum_a, sum_b = sum(g(x) for x in a), sum(g(x) for x in b)
+    _check_sums(sum_a, sum_b)
+    return sum_a >= sum_b - tolerance
+
+
+def _check_sums(*sums):
+    """Reject a sum that is not finite, as a sum that overflows: inf
+    compares as larger than every finite sum, and inf - inf is a NaN that
+    fails every comparison. A prefix sum that is not finite leaves every
+    later one so, so the totals tell for the prefix sums too."""
+    for total in sums:
+        if not math.isfinite(total):
+            raise ValueError(f"sum is not finite: {total}")
 
 
 def violations_to_csv(violations, dest):

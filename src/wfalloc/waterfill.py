@@ -15,6 +15,7 @@ log (nats).
 """
 
 import math
+from bisect import bisect_left
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
@@ -278,23 +279,24 @@ def waterfill(profile):
     The channels are ranked by noise with a stable sort, so tied noises
     keep profile order, and ``powers`` lists them in profile order."""
     noise_by_id = profile._noise_by_id
-    level, funded, active, rate = _fill(sorted(profile.ids, key=noise_by_id.__getitem__),
-                                        noise_by_id, profile.budget)
+    ranked = sorted(profile.ids, key=noise_by_id.__getitem__)
+    noises = [noise_by_id[c] for c in ranked]
+    level, k, active, rate = _fill(ranked, noises, profile.budget)
     powers = dict.fromkeys(profile.ids, 0.0)
-    powers.update(funded)
+    powers.update(zip(ranked[:k], [level - x for x in noises[:k]]))
     return WaterfillSolution(level, powers, active, rate)
 
 
-def _fill(ranked, noise_by_id, budget):
-    """``_scan`` of the channel ids ``ranked``, in ascending noise order:
-    (level, funded, active, rate), with ``funded`` the (id, power) pairs of
-    the channels it funds and ``active`` those of positive power. A budget
-    below the resolution of the quietest noise funds it with power 0, so
-    it is funded but not active."""
-    noises = [noise_by_id[c] for c in ranked]
+def _fill(ranked, noises, budget):
+    """``_scan`` of the channel ids ``ranked`` and their ascending
+    ``noises``: (level, k, active, rate), with k the number of channels it
+    funds and ``active`` those of them whose noise is below the level. That
+    is their power, level - noise, positive: a difference of floats is 0
+    only when they are equal. The count stops at k, as ``_scan`` can leave
+    a noise one ulp below its level unfunded. A budget below the resolution
+    of the quietest noise funds it with power 0: funded but not active."""
     level, k, rate = _scan(noises, budget)
-    funded = [(c, level - x) for c, x in zip(ranked[:k], noises)]
-    return level, funded, frozenset(c for c, p in funded if p > 0.0), rate
+    return level, k, frozenset(ranked[:bisect_left(noises, level, 0, k)]), rate
 
 
 def rate_of_subset(profile, channels):
@@ -309,12 +311,17 @@ def rate_of_subset(profile, channels):
 def _check_snrs(snrs):
     """``snrs`` as a float array, checked once: the one SNR check. Raises
     ValueError on the first SNR, in row-major order, that is not finite or,
-    failing that, is negative; -0.0 passes, as a zero SNR."""
+    failing that, is negative; -0.0 passes, as a zero SNR. The error's
+    ``flat_index`` is that SNR's place in row-major order, from which a
+    caller can name the row it came from."""
     snrs = np.asarray(snrs, dtype=float)
     valid = (snrs >= 0.0) & (snrs < math.inf)  # false for NaN
     if not valid.all():
-        w = float(snrs.flat[valid.argmin()])
-        raise ValueError(f"SNRs must be {'nonnegative' if math.isfinite(w) else 'finite'}, got {w}")
+        at = int(valid.argmin())
+        w = float(snrs.flat[at])
+        error = ValueError(f"SNRs must be {'nonnegative' if math.isfinite(w) else 'finite'}, got {w}")
+        error.flat_index = at
+        raise error
     return snrs
 
 

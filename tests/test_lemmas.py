@@ -225,7 +225,10 @@ def witness_draws(draw):
                        0.014715382777607188), frozenset({0}), 2, 1))
 @example((NoiseProfile([1.0, 1.0, math.inf, 1.0], 1.0, "dcba"), frozenset({"a"}), "b", "c"))
 def test_witness_solves_are_waterfill_on_each_sub_profile(draw):
-    p, base, i, j = draw
+    assert_witness_solves_are_waterfill(*draw)
+
+
+def assert_witness_solves_are_waterfill(p, base, i, j):
     if waterfill(p.subset(base)).water_level is None:  # only never-funded base channels
         with pytest.raises(ValueError, match="the base water level does not exist"):
             lemma_witness(p, base, i, j)
@@ -236,6 +239,39 @@ def test_witness_solves_are_waterfill_on_each_sub_profile(draw):
         sol = waterfill(p.subset(channels))
         assert (getattr(w, "level" + suffix).hex(), getattr(w, "rate" + suffix).hex(),
                 getattr(w, "active" + suffix)) == (sol.water_level.hex(), sol.rate.hex(), sol.active_set)
+
+
+@st.composite
+def active_count_edges(draw):
+    """A (profile, base, i, j) draw whose full solve sits on an edge of the
+    active count: a budget below the resolution of the quietest noise, which
+    is funded with power 0, or a noise that ties the level of the channels
+    quieter than it. Integer noises keep every level exact."""
+    quiet = draw(st.lists(st.integers(1, 8), min_size=1, max_size=3))
+    if draw(st.booleans()):
+        tie = max(quiet) + draw(st.integers(1, 4))
+        budget = float(len(quiet) * tie - sum(quiet))  # the quiet channels fill exactly to the tie
+        louder = st.one_of(st.integers(tie + 1, tie + 5), st.just(math.inf))
+        noises = quiet + [tie] + draw(st.lists(louder, min_size=1, max_size=3))
+    else:
+        tie, budget = None, draw(st.sampled_from((1e-300, 1e-20)))
+        noises = quiet + draw(st.lists(st.one_of(st.integers(1, 8), st.just(math.inf)), min_size=2, max_size=4))
+    order = draw(st.permutations(range(len(noises))))
+    p = NoiseProfile([noises[t] for t in order], budget, [f"c{t}" for t in order])
+    sol = waterfill(p)
+    if tie is None:
+        assert sol.water_level == min(noises) and sol.active_set == frozenset()
+    else:
+        assert sol.water_level == tie and sol.active_set == {f"c{t}" for t in range(len(quiet))}
+    channels = draw(st.permutations(p.ids))
+    nb = draw(st.integers(1, len(channels) - 2))
+    return p, frozenset(channels[:nb]), channels[nb], channels[nb + 1]
+
+
+@settings(derandomize=True, database=None, max_examples=200)
+@given(active_count_edges())
+def test_witness_solves_are_waterfill_on_active_count_edges(draw):
+    assert_witness_solves_are_waterfill(*draw)
 
 
 def test_witness_reports_unknown_channels_like_subset():

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -226,6 +227,26 @@ def test_replay_skips_blank_rows_and_counts_their_lines(tmp_path):
         replay_from_csv(path)
     path.write_text("user,bs_1,bs_2\n0,1.0,2.0\n\n1,nan,-1.0\n")
     with pytest.raises(ValueError, match=re.escape(f"{path}: line 4: SNRs must be finite, got nan")):
+        replay_from_csv(path)
+
+
+def test_replay_checks_each_snr_once(tmp_path, monkeypatch):
+    # the rows are read unchecked and WeightMatrix checks each SNR once;
+    # a check per row for its line, then WeightMatrix's, checked each twice
+    checked = []
+    snr_check = sys.modules["wfalloc.waterfill"]._check_snrs
+    for module in [m for name, m in sys.modules.items() if name.startswith("wfalloc")]:
+        if hasattr(module, "_check_snrs"):
+            monkeypatch.setattr(module, "_check_snrs", lambda snrs: checked.append(np.size(snrs)) or snr_check(snrs))
+    W = generate(ProfileSpec("iid_ten", 4, 3, 5))
+    path = tmp_path / "w.csv"
+    write_weights_csv(W, path)
+    checked.clear()
+    assert replay_from_csv(path) == W
+    assert checked == [12]
+    # a bad SNR is found by that one check, and named by its line
+    path.write_text("user,bs_1,bs_2\n0,1.0,2.0\n\n1,3.0,4.0\n2,inf,-1.0\n3,-2.0,1.0\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}: line 5: SNRs must be finite, got inf")):
         replay_from_csv(path)
 
 

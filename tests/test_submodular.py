@@ -1,5 +1,6 @@
 import io
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,7 +15,7 @@ from wfalloc.submodular import (
     SetFunctionOracle,
     _pair_index,
     _pairwise_blocks,
-    _setpair_blocks,
+    _setpair_plan,
     check_monotone,
     check_setpair_submodular,
     check_submodular_pairwise,
@@ -149,6 +150,19 @@ def test_setpair_at_its_cap_matches_plain_enumeration_across_blocks():
             assert setpair == naive_setpair_violations(ground, fn, tol)
 
 
+def test_setpair_nested_sums_match_plain_enumeration_at_zero_tolerance():
+    # each gap's rhs is the nested pair's sum, taken once per call: it must
+    # hold the same bits as summing f(S&T) + f(S|T) per pair
+    readme = rate_oracle(NoiseProfile([1e-310, 1e-300, 1e-300, 1e-300, 5e-324], 1e-300))
+    setpair = check_setpair_submodular(readme, tolerance=0.0)
+    assert len(setpair) == 6
+    assert setpair == naive_setpair_violations(readme.ground_set, readme.evaluate, 0.0)
+    ground = frozenset(range(8))
+    setpair = check_setpair_submodular(SetFunctionOracle(ground, CARD_SQUARED), tolerance=0.0)
+    assert len(setpair) == 26_335  # every non-nested pair, in order
+    assert setpair == naive_setpair_violations(ground, CARD_SQUARED, 0.0)
+
+
 def test_definition_equivalence_on_small_ground_sets():
     rng = np.random.default_rng(11)
     functions = [MODULAR, CARD_SQUARED, COVERAGE, PAIRS,
@@ -215,15 +229,32 @@ def test_check_blocks_are_cached_read_only_and_in_reporting_order():
         triples = list(zip(base.tolist(), i.tolist(), j.tolist()))
         assert triples == sorted(set(triples))
         assert len(base) == size * (size - 1) // 2 << max(size - 2, 0)
-        if size <= 8:
-            blocks = blocks + _setpair_blocks(size)
-            meet, join, s, t = np.concatenate(_setpair_blocks(size), axis=1)
-            assert list(zip(s.tolist(), t.tolist())) == \
-                [(a, b) for a in range(1 << size) for b in range(a + 1, 1 << size) if a & b != a]
-            assert (meet == s & t).all() and (join == s | t).all()
         for block in blocks:
             assert block.dtype == np.int32 and block.shape[1] <= _BLOCK
             assert not block.flags.writeable
+
+
+def test_setpair_plan_is_cached_read_only_and_in_reporting_order():
+    for size in range(9):
+        plan = _setpair_plan(size)
+        assert _setpair_plan(size) is plan
+        rest, share = _pair_index(size)[:2]
+        pairs, run_ends = [], []
+        for run_s, counts, n, t in plan:
+            for row in (run_s, counts, n, t):
+                assert row.dtype == np.int32 and not row.flags.writeable
+            assert len(n) == len(t) == counts.sum() <= _BLOCK and (counts > 0).all()
+            s = np.repeat(run_s, counts)
+            # N points at the nested pair (S&T, S|T) in the pair index
+            assert (share[n] == s & t).all() and (rest[n] | share[n] == s | t).all()
+            pairs += zip(s.tolist(), t.tolist())
+            run_ends.append(pairs[-1][0] if pairs else None)
+        # exactly the non-nested pairs, in (S, T) order
+        assert pairs == [(a, b) for a in range(1 << size) for b in range(a + 1, 1 << size) if a & b != a]
+        # each block holds whole S-runs: no S continues into the next block
+        for (run_s, *_), end in zip(plan[1:], run_ends):
+            assert len(run_s) == 0 or run_s[0] != end
+    assert len(_setpair_plan(8)) > 1  # 26,335 pairs need more than one block
 
 
 def test_warm_gap_checks_keep_their_temporaries_small():
@@ -291,10 +322,11 @@ def test_checkers_match_plain_enumeration_in_content_and_order():
                         naive_monotone_violations(ground, fn, tol)
 
 
-# sums of these overflow to inf and differences of the overflows give NaN,
-# so the gaps compared against the tolerance hit every float edge
+# sums of these reach the largest float and their differences overflow to
+# +-inf, so the gaps compared against the tolerance hit every float edge;
+# an oracle rejects a value of larger magnitude, whose sums could overflow
 FLOAT_EDGE_VALUES = (0.0, -0.0, 5e-324, -5e-324, 1e-300, 1.0, -1.0,
-                     1e300, -1e300, 1.7e308, -1.7e308)
+                     1e300, -1e300, sys.float_info.max / 2, -sys.float_info.max / 2)
 GROUNDS = (lambda size: range(size), lambda size: (3 * k + 10 for k in range(size)),
            lambda size: "abcdefg"[:size])
 
@@ -343,6 +375,42 @@ def test_non_finite_oracle_value_is_rejected(check, bad):
         check(oracle_from(lambda s: bad, 3))
     with pytest.raises(ValueError, match=r"at \[0, 2\] is not finite"):
         check(oracle_from(lambda s: bad if s == {0, 2} else MODULAR(s), 3))
+
+
+OVERFLOWING = [1e308, 1e308, 1e308, 1.7e308]  # f({}), f({0}), f({1}), f({0, 1})
+
+
+@pytest.mark.parametrize("check", CHECKERS)
+def test_an_oracle_value_whose_sums_could_overflow_is_rejected(check):
+    # exactly, f({0}) + f({1}) = 2e308 < f({}) + f({0, 1}) = 2.7e308, but both
+    # sums overflow and the gap inf - inf is NaN: unchecked, the pairwise and
+    # set-pair checks certified this function
+    message = r"oracle value at \[\] is above sys.float_info.max / 2 in magnitude: 1e\+308"
+    with pytest.raises(ValueError, match=message):
+        check(table_oracle(OVERFLOWING))
+    with pytest.raises(ValueError, match=message):
+        check(SetFunctionOracle(frozenset(range(2)), MODULAR, lambda elems: OVERFLOWING))
+    # the first bad value in counting order decides the message
+    with pytest.raises(ValueError, match=r"at \[0\] is not finite: nan"):
+        check(table_oracle([0.0, math.nan, -1.7e308, 1.0]))
+
+
+def test_the_overflowing_function_scaled_down_is_flagged():
+    scaled = table_oracle([v / 16 for v in OVERFLOWING])
+    assert [(v.base_set, v.elem_i, v.elem_j) for v in check_submodular_pairwise(scaled)] == \
+        [(frozenset(), 0, 1)]
+    assert check_setpair_submodular(scaled) == [({0}, {1})]
+
+
+def test_a_gap_that_overflows_is_decided_by_its_sign():
+    # the largest accepted magnitude: every sum is finite, a gap may be +-inf
+    bound = sys.float_info.max / 2
+    violating = table_oracle([bound, -bound, -bound, bound])  # gap max - (-max)
+    assert [(v.base_set, v.elem_i, v.elem_j, v.gap) for v in check_submodular_pairwise(violating, 0.0)] == \
+        [(frozenset(), 0, 1, math.inf)]
+    assert check_setpair_submodular(violating, 0.0) == [({0}, {1})]
+    clean = table_oracle([-bound, bound, bound, -bound])  # gap -max - max
+    assert check_submodular_pairwise(clean, 0.0) == check_setpair_submodular(clean, 0.0) == []
 
 
 @pytest.mark.parametrize("check", CHECKERS)
@@ -453,6 +521,22 @@ def test_karamata_examples_and_random_convex_functions():
 def test_karamata_length_mismatch():
     with pytest.raises(ValueError, match="length mismatch"):
         karamata_holds([1.0], [1.0, 2.0], math.exp)
+
+
+def test_majorization_rejects_a_sum_that_overflows():
+    # 2e308 < 2.1e308 exactly, yet both sums overflow to inf and inf >= inf
+    with pytest.raises(ValueError, match="^sum is not finite: inf$"):
+        karamata_holds([1.5e308, 0.5e308], [1e308, 1.1e308], lambda x: x)
+    # a vector majorizes itself, yet its prefix sums overflow and inf - inf is NaN
+    with pytest.raises(ValueError, match="^sum is not finite: inf$"):
+        majorizes([1e308, 1e308], [1e308, 1e308])
+    with pytest.raises(ValueError, match="^sum is not finite: -inf$"):
+        majorizes([1.0, -1e308, -1e308], [1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="^sum is not finite: nan$"):
+        karamata_holds([1.0, 2.0], [1.0, 2.0], lambda x: math.nan)
+    # the same vectors scaled by 1/16 are decided
+    assert not karamata_holds([1.5e308 / 16, 0.5e308 / 16], [1e308 / 16, 1.1e308 / 16], lambda x: x)
+    assert majorizes([1e308 / 16, 1e308 / 16], [1e308 / 16, 1e308 / 16])
 
 
 @pytest.mark.parametrize("tolerance, message", [(math.inf, "tolerance must be finite, got inf"),

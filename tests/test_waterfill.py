@@ -641,6 +641,15 @@ def test_active_set_holds_only_powered_channels():
     assert sol.active_set == {0} and sol.powers[0] > 0.0
 
 
+def test_the_active_count_stops_at_the_funded_channels():
+    # _scan leaves channel 1 dry under a level one ulp above its noise: a count
+    # of every noise below the level would make it active, with power 0
+    p = NoiseProfile(ONE_ULP_NOISES, 1.0)
+    sol = waterfill(p)
+    assert sol.water_level == 1.4651753435357528 > p.noises[1] == 1.4651753435357526
+    assert sol.active_set == {0} and sol.powers == {0: 1.0, 1: 0.0}
+
+
 @settings(derandomize=True, database=None, max_examples=300)
 @given(st.lists(st.floats(5e-324, 1.7e308), min_size=1, max_size=8), st.floats(0.0, 1.7e308))
 def test_kernel_stays_finite_across_the_float_range(noises, budget):
