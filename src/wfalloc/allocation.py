@@ -262,21 +262,23 @@ def _greedy_arrivals(W, marginal):
                     state = (cand, level, score)
                 if score > best_score or (score == best_score and j < best_j):
                     best_j, best_score, best_state = j, score, state
+        # a user scored without a solve changes no station: order stays
+        # sorted and slack_max stays the largest slack
         if best_state is not None:
             noises[best_j], levels[best_j], utils[best_j] = best_state
             slacks[best_j] = (len(noises[best_j]) + 2) ** 2 * 2.0 ** -50
             cutoffs[best_j] = levels[best_j] * (1.0 + slacks[best_j])
-        if not marginal:
-            slack_max = max(slack_max, slacks[best_j])
-            # keep order sorted by (-utility, index): only best_j moved (a
-            # rounded utility can also fall), so adjacent swaps restore it
-            key, i = (-utils[best_j], best_j), order.index(best_j)
-            while i and (-utils[order[i - 1]], order[i - 1]) > key:
-                order[i - 1], order[i] = best_j, order[i - 1]
-                i -= 1
-            while i + 1 < m and (-utils[order[i + 1]], order[i + 1]) < key:
-                order[i + 1], order[i] = best_j, order[i + 1]
-                i += 1
+            if not marginal:
+                slack_max = max(slack_max, slacks[best_j])
+                # keep order sorted by (-utility, index): only best_j moved (a
+                # rounded utility can also fall), so adjacent swaps restore it
+                key, i = (-utils[best_j], best_j), order.index(best_j)
+                while i and (-utils[order[i - 1]], order[i - 1]) > key:
+                    order[i - 1], order[i] = best_j, order[i - 1]
+                    i -= 1
+                while i + 1 < m and (-utils[order[i + 1]], order[i + 1]) < key:
+                    order[i + 1], order[i] = best_j, order[i + 1]
+                    i += 1
         yield best_j, utils
 
 
@@ -362,26 +364,49 @@ def _fold_blocks(n):
     return blocks
 
 
+def _bruteforce_totals(W):
+    """The subset DP of ``offline_bruteforce`` for m >= 2 stations, up to
+    its last station: (tables, bests, totals). ``tables[j]`` is f_j,
+    ``bests[j]`` is best_j for the stations 0..j below the last, and entry
+    i of ``totals`` leaves users i to them and all ^ i to the last, so the
+    optimum is ``totals.max()``. Raises InstanceTooLargeError when m^n
+    exceeds the cap, before any table is built."""
+    n, m = W.n, W.m
+    check_bruteforce_size(n, m)
+    tables = _subset_tables(_snr_noise_array(W.weights.T), 1.0)
+    bests = np.empty((m - 1, 1 << n))
+    bests[0] = tables[0]
+    if m > 2:
+        for span, rests, shares, at in _fold_blocks(n):
+            # row j of sums becomes station j + 1's sums of the block
+            for sums, prev, out in zip(tables[1:-1].take(shares, axis=1), bests, bests[1:, span]):
+                sums += prev.take(rests)
+                np.maximum.reduceat(sums, at, out=out)
+    return tables, bests, bests[-1] + tables[-1][::-1]
+
+
 def offline_bruteforce(W):
     """Exact offline optimum by dynamic programming over user subsets.
 
     With f_j station j's log utility of every user subset, the best value
     of giving users S to stations 0..j is best_j[S] = max over T within S
-    of best_{j-1}[S - T] + f_j(T): O(m 3^n) steps. The tables f_j are
-    ``_subset_tables`` of the noises ``waterfill._snr_noise_array`` gives
-    W's columns, with no SNR checked again (W checked each once), and
-    their entries add their logs left to right as ``_scan`` does. Each
-    step is a numpy max-plus reduction over the (S - T, T) pairs of
-    ``_pair_index``, gathered with ``take``, every station per block of
-    ``_fold_blocks``: S - T <= S, so a block reads only earlier blocks and
-    what the station before just wrote; no temporary grows with 3^n
-    (malloc maps one that does anew, page faults and all, every call).
-    Each candidate is the one float addition best_{j-1}[S - T] + f_j(T),
-    so every value equals a scalar loop's bit for bit. The decode walks
-    back from the last station, summing the group of the users left for
-    all stations below at once. On ties the last station takes the
-    largest user bitmask, then each earlier station likewise among the
-    users left: its group lists T descending, so its first maximum. Raises InstanceTooLargeError when m^n exceeds the cap.
+    of best_{j-1}[S - T] + f_j(T): O(m 3^n) steps, in
+    ``_bruteforce_totals``. The tables f_j are ``_subset_tables`` of the
+    noises ``waterfill._snr_noise_array`` gives W's columns, with no SNR
+    checked again (W checked each once), and their entries add their logs
+    left to right as ``_scan`` does. Each step is a numpy max-plus
+    reduction over the (S - T, T) pairs of ``_pair_index``, gathered with
+    ``take``, every station per block of ``_fold_blocks``: S - T <= S, so
+    a block reads only earlier blocks and what the station before just
+    wrote; no temporary grows with 3^n (malloc maps one that does anew,
+    page faults and all, every call). Each candidate is the one float
+    addition best_{j-1}[S - T] + f_j(T), so every value equals a scalar
+    loop's bit for bit. The decode walks back from the last station,
+    summing the group of the users left for all stations below at once.
+    On ties the last station takes the largest user bitmask, then each
+    earlier station likewise among the users left: its group lists T
+    descending, so its first maximum. Raises InstanceTooLargeError when
+    m^n exceeds the cap.
 
     Returns (allocation, value). For m >= 2 the value is the maximum the DP
     just found: every best_j[S] is the chain f_0(T_0) + ... + f_j(T_j) of
@@ -389,28 +414,18 @@ def offline_bruteforce(W):
     that reach it. ``system_utility`` adds the same rates from 0.0, and
     0.0 + f_0 = f_0 (no rate is -0.0), so the two agree bit for bit. One
     station has no DP, and its value is ``system_utility``'s.
+    ``reference_value`` reads the same maximum with no decode.
     """
     n, m = W.n, W.m
-    check_bruteforce_size(n, m)
-    if m == 1:
+    if m == 1:  # 1^n assignments: never above the cap
         alloc = Allocation((range(n),))
         return alloc, system_utility(alloc, W)
-    tables = _subset_tables(_snr_noise_array(W.weights.T), 1.0)
-    bests = np.empty((m - 1, 1 << n))
-    bests[0] = tables[0]
-    if m > 2:
-        rest_of, share_of, starts, sizes = _pair_index(n)
-        for span, rests, shares, at in _fold_blocks(n):
-            # row j of sums becomes station j + 1's sums of the block
-            for sums, prev, out in zip(tables[1:-1].take(shares, axis=1), bests, bests[1:, span]):
-                sums += prev.take(rests)
-                np.maximum.reduceat(sums, at, out=out)
-    # entry i leaves users i to the earlier stations and all ^ i to the last;
+    tables, bests, totals = _bruteforce_totals(W)
     # the first maximum is the smallest i, so the last station's largest T
-    totals = bests[-1] + tables[-1][::-1]
     rest = int(totals.argmax())
     masks, j = [0] * (m - 1) + [rest ^ ((1 << n) - 1)], m - 2  # stations 1..j left
     while rest and j:
+        rest_of, share_of, starts, sizes = _pair_index(n)  # cached; m > 2 here, so n <= 12
         # rest's group for stations 1..j at once: each takes its first maximum,
         # the largest T reaching it; the highest station taking users is decoded
         group = slice(starts[rest], starts[rest] + sizes[rest])
@@ -452,9 +467,16 @@ def run_strategy(strategy, W):
 
 
 def reference_value(W, reference_kind):
-    """The offline reference of the named kind for ``W``."""
+    """The offline reference of the named kind for ``W``.
+
+    The brute-force optimum, for m >= 2, is the maximum of the DP's
+    ``_bruteforce_totals``: ``offline_bruteforce``'s value bit for bit,
+    with no decode and no ``Allocation`` built. One station has no DP and
+    takes ``offline_bruteforce``'s value."""
     if reference_kind == "brute_force_optimum":
-        return offline_bruteforce(W)[1]
+        if W.m == 1:
+            return offline_bruteforce(W)[1]
+        return float(_bruteforce_totals(W)[2].max())
     if reference_kind == "analytic_upper_bound":
         return offline_upper_bound(W)
     raise ValueError(f"unknown reference kind {reference_kind!r}; expected one of {REFERENCE_KINDS}")

@@ -194,19 +194,22 @@ def _subset_rates(sorted_noises, budget):
     * noise totals by doubling, one bit at a time: a subset's total is its
       parent's plus x, the float ``_scan``'s prefix sum reaches, so the
       level (budget + total) / |S| is ``_scan``'s first test, k = |S|;
-    * the funded test, level above x, as one gather of each subset's x and
-      one compare. A subset that fails it (an infinite x always does)
+    * the funded test, level above x, as one ``take`` of each subset's x
+      and one compare. A subset that fails it (an infinite x always does)
       takes its parent's rate, as ``_scan`` goes on with the parent's
       tests; one copy pass per bit, parents first. The empty subset's level
       budget / 0 passes it, and is marked unfunded: its rate stays 0;
     * the funded subsets' rates, in blocks of ``_BLOCK`` log entries:
-      level / y in numpy, ``math.log`` of each (np.log need not agree to
-      the last bit) into a zero subsets x n matrix at the member columns,
-      whose rows ``np.add.accumulate`` sums left to right, one add per
-      column: adding 0.0 is exact, so each total is ``_scan``'s sum bit for
-      bit. An infinite rate, from an infinite level or a level / y that
-      overflows, is handed to ``_scan`` itself, whose overflow, subnormal
-      and fallback branches stay the only ones.
+      level / y in numpy, the levels gathered with ``take`` and the members
+      y with ``take`` and ``compress``, ``math.log`` of each (np.log need
+      not agree to the last bit) placed into a zero subsets x n matrix at
+      the member columns, whose rows ``np.add.accumulate`` sums left to
+      right, one add per column: adding 0.0 is exact, so each total is
+      ``_scan``'s sum bit for bit, written back with ``put``. (``take``,
+      ``compress`` and ``put`` are ~2-5x faster than fancy and boolean
+      indexing at these sizes.) An infinite rate, from an infinite level
+      or a level / y that overflows, is handed to ``_scan`` itself, whose
+      overflow, subnormal and fallback branches stay the only ones.
 
     The call makes 2n numpy passes that grow with n (the totals and the
     copies) and a fixed number besides, per block. Its member matrices are
@@ -224,18 +227,19 @@ def _subset_rates(sorted_noises, budget):
             np.add(levels[:, :1 << h], sorted_noises[:, h:h + 1], out=levels[:, 1 << h:2 << h])
         levels += budget
         levels /= sizes
-        unfunded = levels <= sorted_noises[:, tops]
+        unfunded = levels <= sorted_noises.take(tops, axis=1)
         unfunded[:, 0] = True
         funded, step, bits = np.flatnonzero(~unfunded), _BLOCK // n, 1 << np.arange(n)
         for start in range(0, len(funded), step):
             at = funded[start:start + step]
             row, mask = at >> n, at & ((1 << n) - 1)
             members = (mask[:, None] & bits) != 0
-            ratios = np.repeat(levels.flat[at], sizes[mask]) / sorted_noises[row][members]
+            ratios = np.repeat(levels.take(at), sizes.take(mask)) / np.compress(
+                members.ravel(), sorted_noises.take(row, axis=0))
             logs = np.zeros(members.shape)  # a non-member adds an exact 0.0
-            logs[members] = np.fromiter(map(math.log, ratios.tolist()), float, len(ratios))
+            np.place(logs, members, np.fromiter(map(math.log, ratios.tolist()), float, len(ratios)))
             total = np.add.accumulate(logs, axis=1)[:, -1]
-            rates.flat[at] = total
+            rates.put(at, total)
             for i in np.flatnonzero(total == math.inf):
                 rates.flat[at[i]] = _scan(sorted_noises[row[i]][members[i]].tolist(), budget)[2]
     for h in range(n):
@@ -248,7 +252,7 @@ def _subset_tables(noises, budget):
     matrix, by column bitmask. One ``_subset_rates`` call solves the
     row-sorted matrix, and one permutation for all rows maps column
     bitmasks to sorted ones (tied noises are equal floats, so their order
-    changes no rate)."""
+    changes no rate), gathered with one ``take``."""
     noises = np.asarray(noises, dtype=float)
     rows, n = noises.shape
     rates = _subset_rates(np.sort(noises, axis=1), budget)
@@ -257,7 +261,7 @@ def _subset_tables(noises, budget):
     index[:, 0] = np.arange(rows) << n  # row r's start, clear of every sorted bit
     for t in range(n):
         np.bitwise_or(index[:, :1 << t], bits[:, t:t + 1], out=index[:, 1 << t:2 << t])
-    return rates.ravel()[index]
+    return rates.take(index)
 
 
 def water_level(profile):

@@ -500,8 +500,10 @@ def test_greedy_absolute_visit_order_is_utility_then_index():
         W = copied_column_matrix(rng)
         arrivals = allocation._greedy_arrivals(W, False)
         for _, utils in arrivals:
-            order = arrivals.gi_frame.f_locals["order"]
-            assert order == sorted(range(W.m), key=lambda j: (-utils[j], j))
+            frame = arrivals.gi_frame.f_locals
+            assert frame["order"] == sorted(range(W.m), key=lambda j: (-utils[j], j))
+            # kept up only when a station changed, so it must stay the largest slack
+            assert frame["slack_max"] == max(frame["slacks"])
 
 
 # x alone has a computed utility one ulp above the pair x, c: c's noise sits
@@ -782,10 +784,13 @@ def test_subset_utilities_are_log_utility_of_every_subset(W):
 
 def bruteforce_with_its_value_checked(W):
     """``offline_bruteforce``'s allocation, after checking that the DP
-    optimum it returns is ``system_utility`` of that allocation to the last
-    bit (the digests print only 12 significant digits)."""
+    optimum it returns is ``system_utility`` of that allocation, and the
+    brute-force ``reference_value`` that optimum, to the last bit (the
+    digests print only 12 significant digits)."""
     alloc, value = offline_bruteforce(W)
     assert type(value) is float and value.hex() == system_utility(alloc, W).hex()
+    reference = reference_value(W, "brute_force_optimum")
+    assert type(reference) is float and reference.hex() == value.hex()
     return alloc
 
 
@@ -900,10 +905,14 @@ def test_kernel_and_bruteforce_fault_no_fresh_pages_per_call():
     assert faults_per_call([functools.partial(offline_bruteforce, W) for W in matrices]) < 1
 
 
-def test_bruteforce_cap():
+def test_bruteforce_cap(monkeypatch):
     W = WeightMatrix(np.ones((21, 2)))
-    with pytest.raises(InstanceTooLargeError, match="instance too large"):
-        offline_bruteforce(W)
+    tables = []
+    monkeypatch.setattr(allocation, "_subset_tables", lambda *args: tables.append(args))
+    for solve in (offline_bruteforce, functools.partial(reference_value, reference_kind="brute_force_optimum")):
+        with pytest.raises(InstanceTooLargeError, match="instance too large"):
+            solve(W)
+    assert tables == []  # the size is checked before any table is built
     for n, m in ((6, 10), (19, 2), (2, 1000), (10**6, 1), (0, 10**9)):
         check_bruteforce_size(n, m)
     for n, m in ((20, 2), (7, 10), (1, 10**6 + 1), (13, 3)):
@@ -1065,6 +1074,22 @@ def test_competitive_ratio_runs_the_evaluation_loop_once(monkeypatch):
     W = WeightMatrix([[4.0, 1.0], [2.0, 9.0]])
     competitive_ratio(W, "max-weight", "brute_force_optimum")
     assert calls == [(W, ("max-weight",), "brute_force_optimum")]
+
+
+def test_brute_force_reference_decodes_no_allocation(monkeypatch):
+    # with two or more stations the reference is the DP's maximum alone
+    rng = np.random.default_rng(32)
+    matrices = [random_matrix(rng, n=int(rng.integers(0, 9)), m=m) for m in (2, 3, 4) for _ in range(3)]
+    values = [offline_bruteforce(W)[1] for W in matrices]
+
+    def no_decode(W):
+        raise AssertionError("offline_bruteforce called")
+
+    monkeypatch.setattr(allocation, "offline_bruteforce", no_decode)
+    for W, value in zip(matrices, values):
+        [record] = evaluate_strategies(W, ("greedy",), "brute_force_optimum",
+                                       trial=0, profile_name="uniform", seed=0)
+        assert record.offline_bound.hex() == value.hex()
 
 
 def test_ratio_value_conventions():
