@@ -9,9 +9,9 @@ joint solve (the main case), the pairwise inequality
 reduces to a product comparison between powers of the four water levels and
 the noises of the channels that the second newcomer pushes below water. The
 witness solves all four problems, applies the label convention that the
-newcomer with the lower single-addition water level is called i, derives
-the displacement bookkeeping, and records whether each identity holds
-numerically:
+newcomer with the lower single-addition water level is called i, lays out
+the vector pair (a, b) of ``build_majorization_vectors``, and records
+whether each identity holds numerically:
 
   * the ordering chain  level_ij <= N_m <= level_i <= level_j <= N_l <= level
     for every m the i-problem loses and every l the base problem loses;
@@ -19,10 +19,10 @@ numerically:
   * the matching term counts on both sides;
   * the product inequality itself.
 
-The last three are decided on the vector pair (a, b) that
-``build_majorization_vectors`` lays out: equal lengths, equal sums, and
-Karamata's inequality for the convex -log, which is the product comparison
-that the majorization order of (a, b) settles.
+The last three are decided on (a, b), which the witness keeps as
+``vectors``: equal lengths, equal sums, and Karamata's inequality for the
+convex -log, which is the product comparison that the majorization order of
+(a, b) settles.
 
 If a newcomer is not funded in the joint solve (an easy case), the joint
 solve coincides with the solve that omits it and the pairwise inequality
@@ -84,10 +84,14 @@ class LemmaWitness:
     leave the main-case fields None. Unsuffixed level/rate/active refer to
     the base set alone; ``_ij`` means both newcomers added.
 
-    Main-case set bookkeeping: ``others_*`` are the active channels besides
-    the newcomer(s) themselves, ``displaced_i`` holds channels funded in the
-    i-problem but not once j joins, and ``displaced`` holds channels funded
-    in the base problem but not once j joins.
+    ``vectors`` is the main case's pair (a, b) of
+    ``build_majorization_vectors``, on which the count, sum and product
+    flags are decided. Its displaced sets are set differences of the active
+    sets: ``active_i - active_ij`` holds the channels funded in the
+    i-problem but not once j joins (i and j are both in ``active_ij``), and
+    ``active - active_j`` those funded in the base problem but not once j
+    joins (j is not in ``active``). The channels funded besides the
+    newcomers are the active sets less i, j or both.
     """
 
     profile: NoiseProfile
@@ -110,11 +114,7 @@ class LemmaWitness:
     active_ij: frozenset
     monotone_chain_holds: bool
     submodular_holds: bool
-    others_ij: frozenset | None = None
-    others_i: frozenset | None = None
-    others_j: frozenset | None = None
-    displaced_i: frozenset | None = None
-    displaced: frozenset | None = None
+    vectors: tuple | None = None
     decomposition_disjoint: bool | None = None
     ordering_holds: bool | None = None
     sum_identity_holds: bool | None = None
@@ -131,7 +131,8 @@ def lemma_witness(profile, base, i, j):
     their noises are read once. Each subproblem drops the ranked positions
     of i, j, both or neither from those two lists and makes one ``_scan``
     call through ``waterfill``'s own helper, so its level, rate and active
-    set are ``waterfill``'s on that subset bit for bit.
+    set are ``waterfill``'s on that subset bit for bit. A main case keeps
+    the (a, b) pair it decides the count, sum and product flags on.
 
     Requires distinct i and j outside a nonempty base set, all channels in
     the profile, and a positive budget. The base set must hold a channel
@@ -182,31 +183,24 @@ def lemma_witness(profile, base, i, j):
             i, j = j, i
             (lv_i, _, act_i, rate_i), (lv_j, _, act_j, rate_j) = sol_j, sol_i
         noise = noise_by_id.__getitem__
-        others_ij = act_ij - {i, j}
-        others_i = act_i - {i}
-        others_j = act_j - {j}
-        displaced_i = others_i - others_ij
-        displaced = act - others_j
-
+        displaced_i, displaced = act_i - act_ij, act - act_j
         decomposition = (
             i in act_i and j in act_j
-            and others_ij <= others_i
-            and others_j <= act
+            and act_ij - {i, j} <= act_i
+            and act_j - {j} <= act
         )
-
         ordering = (
             _leq(lv_ij, lv_i) and _leq(lv_i, lv_j) and _leq(lv_j, lv)
             and all(_leq(lv_ij, noise(c)) and _leq(noise(c), lv_i) for c in displaced_i)
             and all(_leq(lv_j, noise(c)) and _leq(noise(c), lv) for c in displaced)
         )
-
-        a, b = _vectors(noise, (lv, lv_i, lv_j, lv_ij), (act, act_i, act_j, act_ij),
-                        displaced_i, displaced)
+        a = ((lv,) * len(act) + tuple(sorted(map(noise, displaced_i), reverse=True))
+             + (lv_ij,) * len(act_ij))
+        b = (tuple(sorted(map(noise, displaced), reverse=True))
+             + (lv_j,) * len(act_j) + (lv_i,) * len(act_i))
         count_ok = len(a) == len(b)  # a theorem; karamata_holds raises on unequal lengths
         case, extra = MAIN_CASE, dict(
-            others_ij=others_ij, others_i=others_i, others_j=others_j,
-            displaced_i=displaced_i, displaced=displaced,
-            decomposition_disjoint=decomposition, ordering_holds=ordering,
+            vectors=(a, b), decomposition_disjoint=decomposition, ordering_holds=ordering,
             sum_identity_holds=_close(sum(a), sum(b)), count_identity_holds=count_ok,
             product_inequality_holds=count_ok and karamata_holds(a, b, lambda x: -math.log(x), _REL_TOL),
         )
@@ -223,28 +217,14 @@ def build_majorization_vectors(witness):
     """Equal-length, equal-sum descending vectors (a, b) from a main-case
     witness, with prod(b) >= prod(a) equivalent to the pairwise inequality.
 
-    ``a`` stacks the base level, the noises displaced from the i-problem,
-    and the joint level; ``b`` stacks the noises displaced from the base
-    problem and the two single-newcomer levels, each level repeated as many
-    times as its problem funds channels. Raises ValueError for an easy-case
-    witness.
+    ``a`` stacks the base level, the noises displaced from the i-problem
+    (``active_i - active_ij``), and the joint level; ``b`` stacks the noises
+    displaced from the base problem (``active - active_j``) and the j- and
+    i-levels, each level repeated as many times as its problem funds
+    channels and each noise block sorted descending. The witness laid the
+    pair out when it decided its flags, and this returns its ``vectors``.
+    Raises ValueError for an easy-case witness.
     """
     if witness.case != MAIN_CASE:
         raise ValueError("majorization vectors exist only for a main-case witness")
-    w = witness
-    return _vectors(w.profile.noise_of, (w.level, w.level_i, w.level_j, w.level_ij),
-                    (w.active, w.active_i, w.active_j, w.active_ij), w.displaced_i, w.displaced)
-
-
-def _vectors(noise, levels, actives, displaced_i, displaced):
-    """``build_majorization_vectors``' layout, shared with ``lemma_witness``:
-    ``levels`` and ``actives`` are the base, i, j and joint problems'."""
-    level, level_i, level_j, level_ij = levels
-    active, active_i, active_j, active_ij = actives
-    a = ([level] * len(active)
-         + sorted((noise(c) for c in displaced_i), reverse=True)
-         + [level_ij] * len(active_ij))
-    b = (sorted((noise(c) for c in displaced), reverse=True)
-         + [level_j] * len(active_j)
-         + [level_i] * len(active_i))
-    return tuple(a), tuple(b)
+    return witness.vectors

@@ -2,6 +2,7 @@ import contextlib
 import io
 import math
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -13,9 +14,9 @@ from hypothesis import strategies as st
 
 import wfalloc
 from wfalloc import cli, lemmas
-from wfalloc.allocation import WeightMatrix
+from wfalloc.allocation import STRATEGIES, WeightMatrix, online_greedy
 from wfalloc.cli import main
-from wfalloc.experiments import RECORD_HEADER, run_experiment, write_records_csv
+from wfalloc.experiments import RECORD_HEADER, _fmt, competitive_ratio, run_experiment, write_records_csv
 from wfalloc.profiles import ProfileSpec, generate, write_weights_csv
 from wfalloc.submodular import SubmodularityViolation, violations_to_csv
 from wfalloc.waterfill import log_utility
@@ -380,6 +381,23 @@ def test_simulate_bruteforce_exact_stdout(capsys):
     )
 
 
+def test_simulate_runs_greedy_absolute_as_the_library_does(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--users", "6", "--basestations", "3",
+                             "--profile", "correlated", "--strategy", "greedy",
+                             "--strategy", "greedy-absolute", "--strategy", "max-weight")
+    assert (code, err) == (0, "")
+    W = generate(ProfileSpec("correlated", 6, 3, 0))
+    report = competitive_ratio(W, "greedy-absolute", "analytic_upper_bound")
+    lines = out.splitlines()
+    at = lines.index(f"strategy greedy-absolute: utility {_fmt(report.online_utility)} ratio {_fmt(report.ratio)}")
+    parts = online_greedy(W, "absolute_value").parts
+    assert lines[at + 1:at + 1 + W.m] == [f"  bs_{k + 1}: {' '.join(str(u) for u in sorted(part))}"
+                                          for k, part in enumerate(parts)]
+    assert lines[at + 1 + W.m].startswith("strategy max-weight: ")
+    # on this instance absolute greedy allocates otherwise than marginal greedy
+    assert parts != online_greedy(W).parts
+
+
 def test_simulate_sparse_strong_against_bruteforce(capsys):
     code, out, err = run_cli(capsys, "simulate", "--users", "6", "--basestations", "3",
                              "--profile", "sparse-strong", "--reference", "brute-force")
@@ -510,6 +528,91 @@ def test_unknown_flag_exits_2():
     with pytest.raises(SystemExit) as exc:
         main(["ratio-experiment", "--frobnicate"])
     assert exc.value.code == 2
+
+
+# --- seeded argv fuzz -----------------------------------------------------
+
+FUZZ_BAD_REALS = ("nan", "-inf", "-1", "0", "-0.0", "", "x", "1,2")
+FUZZ_GOOD_REALS = ("0.5", "1", "2", "3", "inf", "1e-310", "5e-324", "1e308")
+
+
+def fuzz_argv(rng, files):
+    """One argv over the four subcommands and an unknown one, most values
+    valid. Sizes stay small (users <= 8, basestations <= 4, channels <= 12,
+    trials <= 3), or are values the CLI rejects before it builds anything."""
+    def pick(valid, invalid):
+        return rng.choice(valid if rng.random() < 0.85 else invalid)
+
+    def reals():
+        tokens = [rng.choice(FUZZ_GOOD_REALS[:4]) for _ in range(rng.randint(1, 11))]  # "1,2" may add one
+        if rng.random() < 0.3:
+            tokens[rng.randrange(len(tokens))] = rng.choice(FUZZ_GOOD_REALS[4:] + FUZZ_BAD_REALS)
+        return ",".join(tokens)
+
+    def size(high):
+        return pick([str(k) for k in range(1, high + 1)], ("-1", "-7", "1.5", "x", ""))
+
+    command = rng.choice(("waterfill", "check-submodular", "simulate", "ratio-experiment", "bogus"))
+    flags = []
+    if command in ("waterfill", "check-submodular"):
+        sources = ["--noises", "--snrs"] + (["--input"] if command == "waterfill" else [])
+        for source in rng.sample(sources, 1 if rng.random() < 0.9 else 2):
+            flags.append((source, pick([files["weights"]], [files["garbage"], files["missing"], files["dir"]])
+                          if source == "--input" else reals()))
+        if command == "waterfill" and (("--input" in dict(flags)) != (rng.random() < 0.1)):
+            flags.append(("--basestation", pick(("1", "2", "3"), ("0", "-1", "9", "x"))))
+        flags.append(("--power", pick(("1", "2.5", "0.5", "0", "1e-310"), FUZZ_BAD_REALS + ("1e308",))))
+        if command == "check-submodular":
+            flags.append(("--tolerance", pick(("1e-9", "0", "1e-6", "-0.0"), ("nan", "inf", "-1", "x"))))
+            if rng.random() < 0.3:
+                flags.append(("--output", pick([files["violations"]], [files["dir"], files["no_dir"]])))
+    elif command in ("simulate", "ratio-experiment"):
+        if rng.random() < 0.2:
+            flags.append(("--input", pick([files["weights"]], [files["garbage"], files["missing"], files["dir"]])))
+        else:
+            flags += [("--profile", pick(("iid-unit", "iid-ten", "mixed-half", "sparse-strong", "correlated"),
+                                         ("iid_unit", "none"))),
+                      ("--users", size(8)), ("--basestations", size(4))]
+            if rng.random() < 0.5:
+                flags.append(("--seed", pick(("0", "1", "5"), ("-1", "18446744073709551616", "x"))))
+            if command == "ratio-experiment" and rng.random() < 0.5:
+                flags.append(("--trials", size(3)))
+        for _ in range(rng.randint(0, 3)):
+            flags.append(("--strategy", pick(STRATEGIES, ("greedy_absolute", "best"))))
+        if rng.random() < 0.5:
+            flags.append(("--reference", pick(("brute-force", "analytic-upper"), ("exact",))))
+        if command == "ratio-experiment" and rng.random() < 0.5:
+            flags.append(("--output", pick(("-", files["records"]), (files["dir"], files["no_dir"]))))
+    if flags and rng.random() < 0.1:
+        del flags[rng.randrange(len(flags))]
+    if rng.random() < 0.05:
+        flags.append(("--frobnicate", "1"))
+    return [command] + [token for flag in flags for token in flag]
+
+
+def test_seeded_argv_fuzz_exits_with_a_documented_code(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # any relative path an argv names lands here
+    files = {"weights": tmp_path / "w.csv", "garbage": tmp_path / "garbage.csv",
+             "missing": tmp_path / "missing.csv", "dir": tmp_path, "no_dir": tmp_path / "no" / "out.csv",
+             "violations": tmp_path / "violations.csv", "records": tmp_path / "records.csv"}
+    write_weights_csv(generate(ProfileSpec("iid_unit", 4, 3, 1)), files["weights"])
+    files["garbage"].write_text("not,a\nweight matrix\n")
+    files = {name: str(path) for name, path in files.items()}
+    rng = random.Random(20)
+    ok = dict.fromkeys(("waterfill", "check-submodular", "simulate", "ratio-experiment"), 0)
+    for _ in range(400):
+        argv = fuzz_argv(rng, files)
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse's exit
+            code = exc.code
+        err = capsys.readouterr().err
+        assert code in (0, 2, 3, 4), argv
+        if code:
+            assert "error:" in err, argv
+        elif argv[0] in ok:
+            ok[argv[0]] += 1
+    assert all(ok.values()), ok
 
 
 def test_module_entry_point_runs():

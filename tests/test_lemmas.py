@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 
@@ -11,6 +12,7 @@ from wfalloc.lemmas import (
     EASY_I_INACTIVE,
     EASY_J_INACTIVE,
     MAIN_CASE,
+    LemmaWitness,
     build_majorization_vectors,
     lemma_witness,
     rate_oracle,
@@ -72,8 +74,9 @@ def test_worked_example_main_case():
     assert wit.active_i == {0, 2}
     assert wit.active_j == {0, 3}
     assert wit.active_ij == {0, 2, 3}
-    assert wit.others_ij == {0} and wit.others_i == {0} and wit.others_j == {0}
-    assert wit.displaced_i == frozenset() and wit.displaced == frozenset()
+    assert wit.active_ij - {2, 3} == {0} and wit.active_i - {2} == {0} and wit.active_j - {3} == {0}
+    assert wit.active_i - wit.active_ij == frozenset() and wit.active - wit.active_j == frozenset()
+    assert wit.vectors == build_majorization_vectors(wit)
     assert wit.decomposition_disjoint
     assert wit.ordering_holds
     assert wit.sum_identity_holds
@@ -118,7 +121,7 @@ def test_easy_case_huge_noise():
     assert wit.easy_rates_equal
     assert wit.rate_ij == wit.rate_j  # exact: same optimization
     assert wit.monotone_chain_holds and wit.submodular_holds
-    assert wit.others_ij is None and wit.ordering_holds is None
+    assert wit.vectors is None and wit.ordering_holds is None
     # mirrored arguments hit the other easy branch
     wit2 = lemma_witness(profile, {0, 1}, 3, 2)
     assert wit2.case == EASY_J_INACTIVE
@@ -170,7 +173,7 @@ def test_random_draws_cover_all_relations():
             # every b entry sits inside the a block boundary implied by the
             # ordering chain: a is [level block | displaced noises | joint
             # level block] and all of b lands between the two outer blocks
-            split = len(wit.active_ij) + len(wit.displaced_i)  # from the low end
+            split = len(wit.active_ij) + len(wit.active_i - wit.active_ij)  # from the low end
             low = a[len(a) - split]  # largest entry of the low blocks
             high = wit.level
             assert 1 <= split <= len(a) - 1
@@ -239,6 +242,34 @@ def assert_witness_solves_are_waterfill(p, base, i, j):
         sol = waterfill(p.subset(channels))
         assert (getattr(w, "level" + suffix).hex(), getattr(w, "rate" + suffix).hex(),
                 getattr(w, "active" + suffix)) == (sol.water_level.hex(), sol.rate.hex(), sol.active_set)
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(witness_draws())
+@example((fixture_profile(), frozenset({0, 1}), 2, 3))  # a main case
+def test_witness_keeps_the_vectors_it_decided_on(draw):
+    p, base, i, j = draw
+    assume(waterfill(p.subset(base)).water_level is not None)
+    w = lemma_witness(p, base, i, j)
+    if w.case != MAIN_CASE:
+        assert w.vectors is None
+        return
+    # (a, b) laid out by hand from the record: the displaced noises are those
+    # funded in the i-problem but not the joint one, and in the base problem
+    # but not the j-problem
+    noise = p.noise_of
+    a = ((w.level,) * len(w.active) + tuple(sorted((noise(c) for c in w.active_i - w.active_ij), reverse=True))
+         + (w.level_ij,) * len(w.active_ij))
+    b = (tuple(sorted((noise(c) for c in w.active - w.active_j), reverse=True))
+         + (w.level_j,) * len(w.active_j) + (w.level_i,) * len(w.active_i))
+    assert w.vectors == (a, b)
+    assert build_majorization_vectors(w) is w.vectors
+
+
+def test_witness_record_keeps_no_derived_sets():
+    names = [f.name for f in dataclasses.fields(LemmaWitness)]
+    assert len(names) == 27 and "vectors" in names
+    assert not [n for n in names if n.startswith(("others_", "displaced"))]
 
 
 @st.composite
